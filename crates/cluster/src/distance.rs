@@ -61,19 +61,14 @@ impl PairwiseDistances {
     }
 
     /// Compute all pairwise Euclidean distances of `data`'s rows, one
-    /// pool task per row block.
+    /// pool task per row block. Each pair is computed once, as entry
+    /// `(i, j)` with `j ≤ i`, and mirrored to `(j, i)`: the mirror's
+    /// squared terms are the same values (`a − b` is exactly `−(b − a)`)
+    /// summed in the same column order, so it is the same bits.
     pub fn euclidean_of(data: &crate::dataset::Dataset) -> PairwiseDistances {
-        let n = data.nrows();
-        let rows: Vec<Vec<f64>> = incprof_par::par_map_index(n, |i| {
-            (0..n)
-                .map(|j| euclidean(data.row(i), data.row(j)))
-                .collect()
-        });
-        let mut dist = Vec::with_capacity(n * n);
-        for row in rows {
-            dist.extend(row);
-        }
-        PairwiseDistances { n, dist }
+        let mut pair = PairwiseDistances::empty();
+        pair.extend(data);
+        pair
     }
 
     /// Grow the matrix in place to cover all of `data`'s rows, computing
@@ -84,10 +79,10 @@ impl PairwiseDistances {
     /// to the rows this matrix was computed from (callers such as
     /// `incprof_core`'s analysis cache verify this before extending).
     /// Existing entries are *copied*, not recomputed, and every new entry
-    /// `(i, j)` is exactly `euclidean(data.row(i), data.row(j))` — the
-    /// same operands in the same order as a cold rebuild — so the
-    /// extended matrix is bit-identical to `euclidean_of(data)` while
-    /// costing O((m² − n²)·d) instead of O(m²·d).
+    /// `(i, j)` is exactly `euclidean(data.row(i), data.row(j))` — or its
+    /// mirror, the same bits — so the extended matrix is bit-identical to
+    /// `euclidean_of(data)` while costing O((m² − n²)·d / 2) instead of
+    /// O(m²·d).
     pub fn extend(&mut self, data: &crate::dataset::Dataset) {
         let n = self.n;
         let m = data.nrows();
@@ -95,21 +90,23 @@ impl PairwiseDistances {
         if m <= n {
             return;
         }
-        let old = std::mem::take(&mut self.dist);
-        let rows: Vec<Vec<f64>> = incprof_par::par_map_index(m, |i| {
-            let mut row = Vec::with_capacity(m);
-            if i < n {
-                // Old pair: reuse the already-computed entries verbatim.
-                row.extend_from_slice(&old[i * n..i * n + n]);
-            } else {
-                row.extend((0..n).map(|j| euclidean(data.row(i), data.row(j))));
-            }
-            row.extend((n..m).map(|j| euclidean(data.row(i), data.row(j))));
-            row
+        // New row i's entries against rows 0..=i; the rest are mirrors.
+        let fresh: Vec<Vec<f64>> = incprof_par::par_map_index(m - n, |r| {
+            let i = n + r;
+            (0..=i)
+                .map(|j| euclidean(data.row(i), data.row(j)))
+                .collect()
         });
-        let mut dist = Vec::with_capacity(m * m);
-        for row in rows {
-            dist.extend(row);
+        let mut dist = vec![0.0; m * m];
+        for i in 0..n {
+            dist[i * m..i * m + n].copy_from_slice(&self.dist[i * n..(i + 1) * n]);
+        }
+        for (r, row) in fresh.iter().enumerate() {
+            let i = n + r;
+            dist[i * m..i * m + row.len()].copy_from_slice(row);
+            for (j, &v) in row.iter().enumerate() {
+                dist[j * m + i] = v;
+            }
         }
         self.n = m;
         self.dist = dist;

@@ -11,12 +11,12 @@
 //! module defines the clustering as a **canonical left fold** over the
 //! rows, which is what actually runs on both the cold and the warm path:
 //!
-//! * **Base case** (t = k): best-of-restarts batch [`kmeans`] on the
-//!   first k rows.
-//! * **Step** (t → t+1): one warm Lloyd run ([`kmeans_warm`]) over the
-//!   grown prefix, starting from the previous converged centroids —
-//!   typically one or two iterations, with the Hamerly bounds skipping
-//!   most points.
+//! * **Base case** (t = k): best-of-restarts batch
+//!   [`kmeans`](crate::kmeans::kmeans) on the first k rows.
+//! * **Step** (t → t+1): one warm Lloyd run
+//!   ([`kmeans_warm`](crate::kmeans::kmeans_warm)) over the grown prefix,
+//!   starting from the previous converged centroids — typically one or
+//!   two iterations.
 //! * **Review** (t divisible by [`ChainConfig::review_every`]): a few
 //!   fresh single-restart k-means++ candidates, seeded by
 //!   `review_seed(seed, k, t, c)`, compete with the incumbent; a
@@ -32,12 +32,39 @@
 //! the analysis cache's byte-identical-or-abandoned discipline hold:
 //! cold (fold from scratch) and warm (continue cached chains) produce
 //! the same bits at every prefix.
+//!
+//! # Carried Lloyd state
+//!
+//! Run naively, step t → t+1 costs a full Lloyd run over t+1 rows: the
+//! first iteration computes all (t+1)·k distances, then every cluster is
+//! re-summed and the WCSS recomputed over every row. Instead each chain
+//! keeps the state its last step ended in, and the next step resumes
+//! from it (see the private `lloyd` in [`mod@crate::kmeans`]):
+//!
+//! * per-point Hamerly bounds, still valid against the centroids the
+//!   step starts from, so old points are pruned instead of re-scanned;
+//! * per-cluster coordinate sums and counts, accumulated in row-index
+//!   order, reused while the cluster's membership is unchanged — the
+//!   appended row has the highest index, so adding it last is exactly
+//!   the cold summation order;
+//! * per-point WCSS terms, recomputed only for points whose centroid's
+//!   bits changed; the WCSS itself is formed only where it is read (at
+//!   review steps and at the last step of a [`KChain::advance`] call).
+//!
+//! The first iteration computes its `changed` flag against all-zero
+//! assignments, as a cold run does, so iteration counts, centroids, WCSS
+//! and assignments all stay bit-identical to running each step cold.
+//! The carried state is a cost cache, not fold state: it is not
+//! checkpointed (a decoded chain, built with [`KChain::from_parts`],
+//! starts without it and its next step simply runs cold), equality
+//! ignores it, and [`SweepChains::remap_columns`] drops it.
 
 use crate::dataset::Dataset;
 use crate::distance::PairwiseDistances;
-use crate::kmeans::{kmeans, kmeans_warm, KMeansConfig, KMeansResult};
+use crate::kmeans::{kmeans_head, lloyd_resume, KMeansConfig, KMeansObs, KMeansResult, LloydCarry};
 use crate::select_k::{elbow_index, silhouette_index, KSelection, KSelectionMethod, KSweep};
 use crate::silhouette::mean_silhouette_pre;
+use std::sync::{Mutex, PoisonError};
 
 /// Configuration of the incremental fold. Must stay fixed for the
 /// lifetime of a [`SweepChains`]; callers key cached chains by a
@@ -66,7 +93,15 @@ impl ChainConfig {
 
 /// The fold state for one value of k: the converged clustering of the
 /// first [`KChain::covered`] rows.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Beside the state proper, a chain keeps the Lloyd cost cache its last
+/// step ended in (bounds, cluster sums, WCSS terms; see the module docs).
+/// The cache is not part of the state: equality ignores it and clones
+/// copy it, a chain rebuilt with [`KChain::from_parts`] starts without
+/// it, and either way the fold produces the same bits. It describes
+/// `last` as the fold left it, so code that rewrites `last` by hand must
+/// rebuild the chain with [`KChain::from_parts`].
+#[derive(Debug, Clone)]
 pub struct KChain {
     /// The number of clusters this chain tracks.
     pub k: usize,
@@ -74,9 +109,29 @@ pub struct KChain {
     pub covered: usize,
     /// The converged clustering of the covered prefix.
     pub last: KMeansResult,
+    /// Lloyd state `last` ended in, for the next step to resume from.
+    carry: LloydCarry,
+}
+
+impl PartialEq for KChain {
+    fn eq(&self, other: &KChain) -> bool {
+        self.k == other.k && self.covered == other.covered && self.last == other.last
+    }
 }
 
 impl KChain {
+    /// A chain at a known fold state (e.g. decoded from a checkpoint),
+    /// with an empty cost cache: its next step runs cold and lands in
+    /// the same bits as a chain that never left memory.
+    pub fn from_parts(k: usize, covered: usize, last: KMeansResult) -> KChain {
+        KChain {
+            k,
+            covered,
+            last,
+            carry: LloydCarry::default(),
+        }
+    }
+
     /// Base case of the fold: batch best-of-restarts k-means on the
     /// first `k` rows.
     pub fn start(data: &Dataset, k: usize, cfg: &ChainConfig) -> KChain {
@@ -89,12 +144,12 @@ impl KChain {
             k,
             ..cfg.base.clone()
         };
-        let prefix = data.prefix(k);
-        let last = kmeans(&prefix, &base);
+        let (last, carry) = kmeans_head(data, k, &base, &mut KMeansObs::new(k));
         KChain {
             k,
             covered: k,
             last,
+            carry,
         }
     }
 
@@ -114,31 +169,46 @@ impl KChain {
             self.covered
         );
         assert!(t <= data.nrows());
+        if self.covered == t {
+            return;
+        }
+        let base = KMeansConfig {
+            k: self.k,
+            ..cfg.base.clone()
+        };
+        let mut obs = KMeansObs::new(self.k);
         while self.covered < t {
             let u = self.covered + 1;
-            let prefix = data.prefix(u);
-            let base = KMeansConfig {
-                k: self.k,
-                ..cfg.base.clone()
-            };
-            let mut best = kmeans_warm(&prefix, &base, &self.last.centroids);
-            if cfg.review_every > 0 && u.is_multiple_of(cfg.review_every) {
+            let review = cfg.review_every > 0 && u.is_multiple_of(cfg.review_every);
+            // WCSS is read only by a review and by the caller, after the
+            // last step; in between, its terms wait in the carry.
+            let (mut best, mut carry) = lloyd_resume(
+                data,
+                u,
+                &base,
+                &mut self.last,
+                std::mem::take(&mut self.carry),
+                review || u == t,
+                &obs,
+            );
+            if review {
                 for c in 0..cfg.review_candidates {
                     let cand_cfg = KMeansConfig {
-                        k: self.k,
                         restarts: 1,
                         seed: review_seed(cfg.base.seed, self.k, u, c),
-                        ..cfg.base.clone()
+                        ..base.clone()
                     };
-                    let cand = kmeans(&prefix, &cand_cfg);
+                    let (cand, cand_carry) = kmeans_head(data, u, &cand_cfg, &mut obs);
                     // Strictly better only: ties keep the incumbent, so
                     // the winner is unambiguous and replay-stable.
                     if cand.wcss < best.wcss {
                         best = cand;
+                        carry = cand_carry;
                     }
                 }
             }
             self.last = best;
+            self.carry = carry;
             self.covered = u;
         }
     }
@@ -226,6 +296,8 @@ impl SweepChains {
                 }
             }
             chain.last.centroids = wide;
+            // The cost cache holds sums at the old width: drop it.
+            chain.carry = LloydCarry::default();
         }
     }
 
@@ -276,11 +348,14 @@ impl SweepChains {
         };
 
         let use_early = early_exit && method == KSelectionMethod::Silhouette;
+        // Each evaluated chain moves out of `self`, through its task and
+        // back; chains past the evaluated range stay as they are.
+        let mut existing = std::mem::take(&mut self.chains).into_iter();
         let evaluated: Vec<(KChain, Option<f64>)> = if use_early {
             let mut evaluated = Vec::with_capacity(cap);
             let mut defined: Vec<f64> = Vec::new();
             for i in 0..cap {
-                let (chain, sil) = eval_one(data, cfg, pair, i + 1, self.chains.get(i), n);
+                let (chain, sil) = eval_one(data, cfg, pair, i + 1, existing.next(), n);
                 evaluated.push((chain, sil));
                 if let Some(v) = sil {
                     defined.push(v);
@@ -294,10 +369,17 @@ impl SweepChains {
         } else {
             // Per-k chains advance independently; fan out one pool task
             // per k exactly like the batch sweep (bit-identical at any
-            // worker count — each task reads only its own chain).
-            let chains = &self.chains;
+            // worker count — each task owns only its own chain).
+            let slots: Vec<Mutex<Option<KChain>>> = existing
+                .by_ref()
+                .take(cap)
+                .map(|c| Mutex::new(Some(c)))
+                .collect();
             incprof_par::Pool::current().map_index(cap, 1, |i| {
-                eval_one(data, cfg, pair, i + 1, chains.get(i), n)
+                let chain = slots
+                    .get(i)
+                    .and_then(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take());
+                eval_one(data, cfg, pair, i + 1, chain, n)
             })
         };
 
@@ -307,17 +389,16 @@ impl SweepChains {
             wcss: Vec::with_capacity(evaluated.len()),
             silhouettes: Vec::with_capacity(evaluated.len()),
         };
+        let mut chains = Vec::with_capacity(evaluated.len() + existing.len());
         for (i, (chain, sil)) in evaluated.into_iter().enumerate() {
             sweep.ks.push(i + 1);
             sweep.wcss.push(chain.last.wcss);
             sweep.silhouettes.push(sil);
             sweep.results.push(chain.last.clone());
-            if i < self.chains.len() {
-                self.chains[i] = chain;
-            } else {
-                self.chains.push(chain);
-            }
+            chains.push(chain);
         }
+        chains.extend(existing);
+        self.chains = chains;
         let idx = match method {
             KSelectionMethod::Elbow => elbow_index(&sweep.wcss),
             KSelectionMethod::Silhouette => silhouette_index(&sweep.silhouettes),
@@ -337,12 +418,12 @@ fn eval_one(
     cfg: &ChainConfig,
     pair: Option<&PairwiseDistances>,
     k: usize,
-    existing: Option<&KChain>,
+    existing: Option<KChain>,
     t: usize,
 ) -> (KChain, Option<f64>) {
     let _k_span = incprof_obs::span(incprof_obs::names::cluster_select_k_k(k));
     let mut chain = match existing {
-        Some(c) => c.clone(),
+        Some(c) => c,
         None => KChain::start(data, k, cfg),
     };
     chain.advance(data, t, cfg);
@@ -520,6 +601,46 @@ mod tests {
         assert_chains_bit_equal(&warm, &cold);
         assert_eq!(sel_warm.k, sel_cold.k);
         assert_eq!(sel_warm.result.assignments, sel_cold.result.assignments);
+    }
+
+    /// Remapping drops each chain's carried Lloyd state (its cluster
+    /// sums have the old width); the steps that follow must run cold and
+    /// match chains folded from scratch over the widened rows, bit for
+    /// bit, at every appended row — reviews included.
+    #[test]
+    fn remap_then_advance_matches_cold_chains() {
+        let old = blobs(2, 6);
+        let cfg = cfg();
+        let mut warm = SweepChains::new();
+        warm.evaluate(&old, 4, KSelectionMethod::Elbow, &cfg, None, false);
+        let mut rows: Vec<Vec<f64>> = old.iter_rows().map(|r| vec![0.0, r[0], r[1]]).collect();
+        rows.extend([
+            vec![3.0, 50.0, 50.0],
+            vec![0.0, 100.5, 99.0],
+            vec![1.5, 0.2, -0.1],
+            vec![0.0, 0.0, 0.0],
+            vec![2.0, 100.0, 100.0],
+        ]);
+        let new = Dataset::from_rows(rows);
+        warm.remap_columns(&[1, 2], 3);
+        for t in old.nrows() + 1..=new.nrows() {
+            let mut cold = SweepChains::new();
+            cold.evaluate(
+                &new.prefix(t),
+                4,
+                KSelectionMethod::Elbow,
+                &cfg,
+                None,
+                false,
+            );
+            for chain in &mut warm.chains {
+                chain.advance(&new, t, &cfg);
+            }
+            assert_chains_bit_equal(&warm, &cold);
+            for (w, c) in warm.chains.iter().zip(&cold.chains) {
+                assert_eq!(w.last.iterations, c.last.iterations, "k={} t={t}", w.k);
+            }
+        }
     }
 
     #[test]

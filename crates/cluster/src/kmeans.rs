@@ -8,15 +8,26 @@
 //! several restarts and keeps the best (lowest-WCSS) run, and repairs empty
 //! clusters by reseeding them on the point farthest from its centroid.
 //!
-//! Two cost controls keep the hot path cheap without moving a single
+//! Several cost controls keep the hot path cheap without moving a single
 //! output bit:
 //!
 //! * **Hamerly-style pruning** ([`KMeansConfig::pruning`]): per-point
 //!   triangle-inequality bounds skip the k distance evaluations whenever
-//!   the assigned centroid is provably still the unique nearest. Bounds
-//!   are padded conservatively, so a bound error can only cause an extra
-//!   exact recomputation — never a wrong (or even differently tie-broken)
-//!   assignment.
+//!   the assigned centroid is provably still the unique nearest; when
+//!   they do not, one exact distance to the own centroid often proves it.
+//!   Bounds are padded conservatively, so a bound error can only cause an
+//!   extra exact recomputation — never a wrong (or even differently
+//!   tie-broken) assignment.
+//! * **Resumable state**: a run also returns the state it ended in —
+//!   per-point bounds, per-cluster sums and counts accumulated in index
+//!   order, per-point WCSS terms — and a fold step of
+//!   [`crate::incremental`] resumes from it after appending one row,
+//!   recomputing only what the new row can change (see the private
+//!   `lloyd` for why each reuse is bit-identical). The state is a cost
+//!   cache, never checkpointed: without it a step simply runs cold.
+//! * **Seed distances**: k-means++ seeding computes every point's
+//!   distance to every seed; the first assignment step reads them
+//!   instead of computing them again.
 //! * **Fixed-point detection**: a Lloyd iteration is a deterministic
 //!   function of the `(assignments, centroids)` state, so an iteration
 //!   that ends in exactly the state the previous one ended in will repeat
@@ -30,8 +41,10 @@
 
 use crate::dataset::Dataset;
 use crate::distance::sq_euclidean;
+use incprof_obs::{Counter, Histogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone)]
@@ -117,7 +130,18 @@ impl KMeansResult {
 /// # Panics
 /// Panics if `config.k == 0` or the dataset is empty, or `k > n`.
 pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
-    let n = data.nrows();
+    kmeans_head(data, data.nrows(), config, &mut KMeansObs::new(config.k)).0
+}
+
+/// Best-of-restarts k-means over the first `n` rows of `data`, read in
+/// place. Also returns the winning restart's [`LloydCarry`], so a fold
+/// step can resume from it.
+pub(crate) fn kmeans_head(
+    data: &Dataset,
+    n: usize,
+    config: &KMeansConfig,
+    obs: &mut KMeansObs,
+) -> (KMeansResult, LloydCarry) {
     assert!(config.k >= 1, "k must be at least 1");
     assert!(n >= 1, "cannot cluster an empty dataset");
     assert!(
@@ -125,37 +149,34 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
         "k = {} exceeds number of points {n}",
         config.k
     );
+    assert!(n <= data.nrows());
 
-    let mut best: Option<KMeansResult> = None;
+    let mut best: Option<(KMeansResult, LloydCarry)> = None;
     let mut total_iterations = 0u64;
     for r in 0..config.restarts.max(1) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
-        let init = kmeanspp_init(data, config.k, &mut rng);
-        let result = lloyd(data, config, init);
-        total_iterations += result.iterations as u64;
-        if best.as_ref().is_none_or(|b| result.wcss < b.wcss) {
-            best = Some(result);
+        let (init, seed_dists) = kmeanspp_init(data, n, config.k, &mut rng);
+        let run = lloyd(data, n, config, init, Start::Seeded(seed_dists), true, obs);
+        total_iterations += run.0.iterations as u64;
+        if best.as_ref().is_none_or(|(b, _)| run.0.wcss < b.wcss) {
+            best = Some(run);
         }
     }
     // lint: allow(P01, restarts.max(1) above guarantees the loop body ran at least once)
-    let mut best = best.expect("at least one restart ran");
+    let (mut best, carry) = best.expect("at least one restart ran");
     best.total_iterations = total_iterations;
     // Two views of the same sweep: the winner's iteration count measures
     // convergence, the cross-restart total measures compute spent. The
     // old single counter conflated them (it added the total under the
     // winner's name).
-    incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations(config.k))
-        .add(best.iterations as u64);
-    incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations_total(
-        config.k,
-    ))
-    .add(total_iterations);
-    best
+    obs.iterations().add(best.iterations as u64);
+    obs.iterations_total.add(total_iterations);
+    (best, carry)
 }
 
 /// Run Lloyd's algorithm once, warm-started from `init` (no k-means++
-/// seeding, no restarts). This is the per-row step of the incremental
-/// fold in [`crate::incremental`]: from near-converged centroids Lloyd
+/// seeding, no restarts): the cold form of one step of the incremental
+/// fold in [`crate::incremental`]. From near-converged centroids Lloyd
 /// typically settles in one or two iterations.
 ///
 /// # Panics
@@ -184,110 +205,303 @@ pub fn kmeans_warm(data: &Dataset, config: &KMeansConfig, init: &Dataset) -> KMe
         init.ncols(),
         data.ncols()
     );
-    let result = lloyd(data, config, init.clone());
-    incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations_total(
-        config.k,
-    ))
-    .add(result.iterations as u64);
+    let obs = KMeansObs::new(config.k);
+    let (result, _) = lloyd(data, n, config, init.clone(), Start::Cold, true, &obs);
+    obs.iterations_total.add(result.iterations as u64);
     result
 }
 
-fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
-    let n = data.nrows();
+/// One warm fold step: Lloyd over the first `n` rows of `data`, from
+/// where the previous step ended — `prev` (whose assignments it takes)
+/// and the `carry` that run returned. The result is bit-identical to
+/// [`kmeans_warm`] from `prev.centroids` on a copy of those rows; an
+/// empty or ill-fitting carry simply makes it that cold run. With
+/// `wcss` false the result's WCSS is left NaN and its terms stay in the
+/// carry for a later step to bring up to date.
+pub(crate) fn lloyd_resume(
+    data: &Dataset,
+    n: usize,
+    config: &KMeansConfig,
+    prev: &mut KMeansResult,
+    carry: LloydCarry,
+    wcss: bool,
+    obs: &KMeansObs,
+) -> (KMeansResult, LloydCarry) {
+    let from = Start::Resume(std::mem::take(&mut prev.assignments), carry);
+    let run = lloyd(data, n, config, prev.centroids.clone(), from, wcss, obs);
+    obs.iterations_total.add(run.0.iterations as u64);
+    run
+}
+
+/// The k-means metric handles for one `k`, looked up once per call
+/// rather than once per Lloyd run (the per-k names are `format!`ed).
+pub(crate) struct KMeansObs {
+    k: usize,
+    /// Only restart-based runs record the winner's count; created on
+    /// first use so warm-only calls do not register it.
+    iterations: Option<Arc<Counter>>,
+    iterations_total: Arc<Counter>,
+    pruned: Arc<Counter>,
+    delta: Arc<Histogram>,
+}
+
+impl KMeansObs {
+    pub(crate) fn new(k: usize) -> KMeansObs {
+        KMeansObs {
+            k,
+            iterations: None,
+            iterations_total: incprof_obs::counter(
+                &incprof_obs::names::cluster_kmeans_iterations_total(k),
+            ),
+            pruned: incprof_obs::counter(incprof_obs::names::CLUSTER_KMEANS_PRUNED),
+            delta: incprof_obs::histogram(incprof_obs::names::CLUSTER_KMEANS_CONVERGENCE_DELTA_E12),
+        }
+    }
+
+    fn iterations(&mut self) -> &Counter {
+        let k = self.k;
+        self.iterations.get_or_insert_with(|| {
+            incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations(k))
+        })
+    }
+}
+
+/// The Lloyd state a run ends in beyond its [`KMeansResult`] — a cost
+/// cache that lets the next fold step resume instead of starting over.
+/// Every field is exactly what a cold run would recompute, or a
+/// conservative bound on it, so resuming changes no output bit; see
+/// [`lloyd`]. The carry covers the first `terms.len()` rows.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LloydCarry {
+    /// Hamerly bounds against the final centroids: `upper[i]` on the
+    /// distance to point i's own centroid, `lower[i]` on every other.
+    upper: Vec<f64>,
+    lower: Vec<f64>,
+    /// Per-cluster coordinate sums (`k × d`, row-major) and member
+    /// counts, each accumulated in row-index order.
+    sums: Vec<f64>,
+    counts: Vec<usize>,
+    /// Clusters whose sums no longer match the assignments (an
+    /// empty-cluster repair re-homed a point after they were summed).
+    stale: Vec<bool>,
+    /// Per-point WCSS terms against the centroids in `terms_at`
+    /// (`k × d`, row-major); NaN marks a point re-assigned since.
+    terms: Vec<f64>,
+    terms_at: Vec<f64>,
+}
+
+impl LloydCarry {
+    /// The state of a cold start: no rows covered, zero sums.
+    fn empty(k: usize, d: usize) -> LloydCarry {
+        LloydCarry {
+            sums: vec![0.0; k * d],
+            counts: vec![0; k],
+            stale: vec![false; k],
+            ..LloydCarry::default()
+        }
+    }
+
+    /// Whether this carry describes `rows` assigned rows of a `k × d`
+    /// clustering (a dropped carry, or one from before a column remap,
+    /// does not).
+    fn fits(&self, rows: usize, k: usize, d: usize) -> bool {
+        rows > 0
+            && self.terms.len() == rows
+            && self.upper.len() == rows
+            && self.lower.len() == rows
+            && self.counts.len() == k
+            && self.sums.len() == k * d
+            && self.terms_at.len() == k * d
+    }
+}
+
+/// Below this many distance-term evaluations (points × k × d) in an
+/// assignment step, fork/join overhead outweighs the split.
+const PARALLEL_ASSIGN_WORK: usize = 200_000;
+
+/// Where a [`lloyd`] run starts from, beside its centroids.
+enum Start {
+    /// All-zero assignments and unknown bounds.
+    Cold,
+    /// A cold start from k-means++ seeds, with the squared distance
+    /// from every point to every seed (`n × k`, row-major) that seeding
+    /// computed anyway: the first assignment step reads them instead of
+    /// recomputing the same values.
+    Seeded(Vec<f64>),
+    /// Where a previous run over the first `m ≤ n` rows ended, at exactly
+    /// these centroids: its `m` final assignments and its carry.
+    Resume(Vec<usize>, LloydCarry),
+}
+
+/// Lloyd's algorithm over the first `n` rows of `data`, from `centroids`.
+///
+/// Resuming ([`Start::Resume`]) is bit-identical to the cold run from
+/// all-zero assignments and unknown bounds:
+///
+/// * a carried point's argmin is skipped only while its bounds prove its
+///   assignment is the unique nearest, which is what the cold argmin
+///   would compute; iteration 1's `changed` is computed against zero
+///   assignments, as the cold run does;
+/// * a cluster's sum is reused only while its membership among the
+///   summed rows is unchanged; appended rows have the highest indices,
+///   so adding them last keeps the cold index-order summation;
+/// * a WCSS term is reused only while its point's assignment and its
+///   centroid's bits are unchanged, and the terms are summed in index
+///   order as the cold run sums them.
+///
+/// With `wcss` false the WCSS is not formed (the result holds NaN) and
+/// stale terms wait in the carry. With `pruning` off nothing is reused,
+/// not even the seed distances: every distance, sum and term is
+/// recomputed (the test oracle).
+fn lloyd(
+    data: &Dataset,
+    n: usize,
+    config: &KMeansConfig,
+    mut centroids: Dataset,
+    start: Start,
+    wcss: bool,
+    obs: &KMeansObs,
+) -> (KMeansResult, LloydCarry) {
     let d = data.ncols();
     let k = config.k;
 
-    let mut centroids = init;
-    let mut assignments = vec![0usize; n];
+    let (mut assignments, carry, mut seeded) = match start {
+        Start::Resume(a, carry) if config.pruning && a.len() <= n && carry.fits(a.len(), k, d) => {
+            (a, carry, None)
+        }
+        Start::Seeded(dists) if config.pruning => {
+            (Vec::new(), LloydCarry::empty(k, d), Some(dists))
+        }
+        _ => (Vec::new(), LloydCarry::empty(k, d), None),
+    };
+    let LloydCarry {
+        mut upper,
+        mut lower,
+        mut sums,
+        mut counts,
+        mut stale,
+        mut terms,
+        mut terms_at,
+    } = carry;
+    // Rows [0, summed) are folded into `sums`/`counts`; the rest are new.
+    let mut summed = assignments.len();
+    // Points the next assignment step expects to scan in full: all of
+    // them on a cold start, the appended rows on a resume.
+    let mut active = n - summed;
+    assignments.resize(n, 0);
+    // Hamerly-style bounds, in plain (square-rooted) distance space:
+    // `upper[i]` bounds the distance from point i to its assigned
+    // centroid from above, `lower[i]` bounds the distance to every
+    // *other* centroid from below. While strictly `upper[i] < lower[i]`,
+    // the assigned centroid is provably the unique nearest, so the naive
+    // argmin (strict `<`, lowest index on ties) would reproduce the same
+    // assignment — skipping it is bit-identical. New rows start unknown
+    // (∞ / 0), which never prunes. `travel` is how far the centroids
+    // moved in the last update; it loosens the bounds via the triangle
+    // inequality, applied point by point in the next pass over them.
+    upper.resize(n, f64::INFINITY);
+    lower.resize(n, 0.0);
+    terms.resize(n, f64::NAN);
+
+    let mut travel = Travel::none(k);
+    let mut new_c = vec![0.0f64; d];
     let mut iterations = 0;
     let mut last_movement = 0.0f64;
     let mut pruned_points = 0u64;
-
-    // Hamerly-style bounds, in plain (square-rooted) distance space,
-    // preallocated once per run: `upper[i]` bounds the distance from
-    // point i to its assigned centroid from above, `lower[i]` bounds the
-    // distance to every *other* centroid from below. While strictly
-    // `upper[i] < lower[i]`, the assigned centroid is provably the unique
-    // nearest, so the naive argmin (strict `<`, lowest index on ties)
-    // would reproduce the same assignment — skipping it is bit-identical.
-    // `moved[c]` is how far centroid c traveled in the last update, used
-    // to loosen the bounds via the triangle inequality.
-    let mut upper = vec![f64::INFINITY; n];
-    let mut lower = vec![0.0f64; n];
-    let mut moved = vec![0.0f64; k];
-    let mut bounds_valid = false;
 
     // End-of-iteration state of the previous iteration, for the
     // fixed-point break (see the module docs).
     let mut prev_assignments: Vec<usize> = Vec::new();
     let mut prev_centroid_bits: Vec<u64> = Vec::new();
 
-    // Parallelize the assignment step (each point's argmin is
-    // independent and deterministic) once the work justifies the
-    // fork/join overhead. Inside a `select_k` sweep this call already
-    // runs on a pool worker, so the nested call degrades to sequential.
-    let parallel = n * k * d >= 200_000;
-
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        // Assignment step. Returns (cluster, upper, lower, pruned) per
-        // point; pruned points keep their assignment and bounds.
-        let use_bounds = bounds_valid && config.pruning;
-        let assign_one = |i: usize| -> (usize, f64, f64, bool) {
-            if use_bounds && upper[i] < lower[i] {
-                return (assignments[i], upper[i], lower[i], true);
-            }
-            let row = data.row(i);
-            let mut best_c = 0;
-            let mut best_d = f64::INFINITY;
-            let mut second_d = f64::INFINITY;
-            for c in 0..k {
-                let dist = sq_euclidean(row, centroids.row(c));
-                if dist < best_d {
-                    second_d = best_d;
-                    best_d = dist;
-                    best_c = c;
-                } else if dist < second_d {
-                    second_d = dist;
-                }
-            }
-            (
-                best_c,
-                pad_up(best_d.sqrt()),
-                pad_down(second_d.sqrt()),
-                false,
-            )
+        // Assignment step. Each point's outcome is independent and
+        // deterministic, so once the work left after pruning justifies
+        // the fork/join it runs on the pool; inside a `select_k` sweep
+        // this call already runs on a pool worker, so the nested call
+        // degrades to sequential.
+        let step = AssignStep {
+            data,
+            centroids: &centroids,
+            pruning: config.pruning,
+            travel: &travel,
+            seeded: seeded.as_deref(),
         };
-        let new_assignments: Vec<(usize, f64, f64, bool)> = if parallel {
-            incprof_par::par_map_index(n, assign_one)
-        } else {
-            (0..n).map(assign_one).collect()
-        };
+        let parallel = active * k * d >= PARALLEL_ASSIGN_WORK;
+        let settled: Option<Vec<Settle>> = parallel.then(|| {
+            incprof_par::par_map_index(n, |i| step.settle(i, assignments[i], upper[i], lower[i]))
+        });
         let mut changed = false;
-        for (i, &(c, up, lo, pruned)) in new_assignments.iter().enumerate() {
-            if assignments[i] != c {
+        active = 0;
+        for i in 0..n {
+            let outcome = match &settled {
+                Some(s) => s[i],
+                None => step.settle(i, assignments[i], upper[i], lower[i]),
+            };
+            let c = match outcome {
+                Settle::Pruned(up, lo) => {
+                    pruned_points += 1;
+                    upper[i] = up;
+                    lower[i] = lo;
+                    continue;
+                }
+                Settle::Confirmed(up, lo) => {
+                    upper[i] = up;
+                    lower[i] = lo;
+                    continue;
+                }
+                Settle::Nearest(c, up, lo) => {
+                    active += 1;
+                    upper[i] = up;
+                    lower[i] = lo;
+                    c
+                }
+            };
+            let old = assignments[i];
+            if old != c {
+                if i < summed {
+                    stale[old] = true;
+                    stale[c] = true;
+                }
                 assignments[i] = c;
+                terms[i] = f64::NAN;
                 changed = true;
-            }
-            upper[i] = up;
-            lower[i] = lo;
-            if pruned {
-                pruned_points += 1;
             }
         }
 
-        // Update step.
-        let mut sums = Dataset::zeros(k, d);
-        let mut counts = vec![0usize; k];
-        for i in 0..n {
-            let c = assignments[i];
-            counts[c] += 1;
-            let row = data.row(i);
-            let target = sums.row_mut(c);
-            for j in 0..d {
-                target[j] += row[j];
-            }
+        seeded = None;
+
+        // Update step: re-sum only the clusters whose membership among
+        // the summed rows changed, then append the new rows in order.
+        if !config.pruning {
+            stale.fill(true);
         }
+        if stale.contains(&true) {
+            for c in (0..k).filter(|&c| stale[c]) {
+                sums[c * d..(c + 1) * d].fill(0.0);
+                counts[c] = 0;
+            }
+            for i in 0..summed {
+                let c = assignments[i];
+                if stale[c] {
+                    add_row(&mut sums[c * d..(c + 1) * d], data.row(i));
+                    counts[c] += 1;
+                }
+            }
+            stale.fill(false);
+        }
+        for i in summed..n {
+            let c = assignments[i];
+            add_row(&mut sums[c * d..(c + 1) * d], data.row(i));
+            counts[c] += 1;
+        }
+        summed = n;
+        if iter == 0 {
+            // The cold run starts from all-zero assignments.
+            changed = counts[0] != n;
+        }
+
         let mut movement: f64 = 0.0;
         for c in 0..k {
             if counts[c] == 0 {
@@ -301,47 +515,39 @@ fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
                     })
                     // lint: allow(P01, lloyd is only reachable with a non-empty dataset so max_by has candidates)
                     .expect("n >= 1");
-                let row = data.row(far).to_vec();
-                let m = sq_euclidean(&row, centroids.row(c));
+                let row = data.row(far);
+                let m = sq_euclidean(row, centroids.row(c));
                 movement += m;
-                moved[c] = pad_up(m.sqrt());
-                centroids.row_mut(c).copy_from_slice(&row);
+                travel.moved[c] = pad_up(m.sqrt());
+                centroids.row_mut(c).copy_from_slice(row);
+                // The repair re-homed `far` outside the assignment step:
+                // both clusters' sums are now stale, its WCSS term is
+                // void, and its bounds describe the old assignment, so
+                // force an exact recomputation next iteration.
+                stale[assignments[far]] = true;
+                stale[c] = true;
                 assignments[far] = c;
-                // The repair re-homed `far` outside the assignment step;
-                // its bounds describe the old assignment, so force an
-                // exact recomputation next iteration.
+                terms[far] = f64::NAN;
                 upper[far] = f64::INFINITY;
                 lower[far] = 0.0;
                 continue;
             }
             let inv = 1.0 / counts[c] as f64;
-            let mut new_c = vec![0.0; d];
-            for (j, v) in new_c.iter_mut().enumerate() {
-                *v = sums.get(c, j) * inv;
+            for (v, s) in new_c.iter_mut().zip(&sums[c * d..(c + 1) * d]) {
+                *v = s * inv;
             }
             let m = sq_euclidean(&new_c, centroids.row(c));
             movement += m;
-            moved[c] = pad_up(m.sqrt());
+            // A centroid whose bits did not change has not moved at all:
+            // the bounds stay exact and need no padding.
+            travel.moved[c] = if bits_equal(&new_c, centroids.row(c)) {
+                0.0
+            } else {
+                pad_up(m.sqrt())
+            };
             centroids.row_mut(c).copy_from_slice(&new_c);
         }
-
-        if config.pruning {
-            // Triangle inequality: a point's distance to its (moved)
-            // centroid grew by at most the centroid's travel; its
-            // distance to any other centroid shrank by at most the
-            // largest travel of any centroid.
-            let mut max_move = 0.0f64;
-            for &m in &moved {
-                if m > max_move {
-                    max_move = m;
-                }
-            }
-            for i in 0..n {
-                upper[i] = pad_up(upper[i] + moved[assignments[i]]);
-                lower[i] = pad_down(lower[i] - max_move);
-            }
-            bounds_valid = true;
-        }
+        travel.refresh();
 
         last_movement = movement;
         if !changed && movement <= config.tol {
@@ -362,24 +568,199 @@ fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
         prev_assignments.clone_from(&assignments);
         prev_centroid_bits = centroid_bits;
     }
+    if config.pruning && travel.max > 0.0 {
+        // The last update's travel is still pending: apply it, so the
+        // carried bounds hold against the final centroids.
+        for i in 0..n {
+            (upper[i], lower[i]) = travel.loosen(assignments[i], upper[i], lower[i]);
+        }
+    }
 
     // Centroid movement of the final iteration, in picounits (×1e12) so
     // sub-tolerance deltas still land in distinguishable buckets.
-    incprof_obs::histogram(incprof_obs::names::CLUSTER_KMEANS_CONVERGENCE_DELTA_E12)
-        .record((last_movement * 1e12) as u64);
-    incprof_obs::counter(incprof_obs::names::CLUSTER_KMEANS_PRUNED).add(pruned_points);
+    obs.delta.record((last_movement * 1e12) as u64);
+    obs.pruned.add(pruned_points);
 
-    let wcss = (0..n)
-        .map(|i| sq_euclidean(data.row(i), centroids.row(assignments[i])))
+    let wcss = if wcss {
+        // Recompute the terms of points whose centroid's bits changed
+        // since the terms were taken (re-assigned and new points hold
+        // NaN), then sum in point order.
+        let current = |c: usize| {
+            terms_at.len() == k * d && bits_equal(centroids.row(c), &terms_at[c * d..(c + 1) * d])
+        };
+        let valid: Vec<bool> = (0..k).map(current).collect();
+        for i in 0..n {
+            let c = assignments[i];
+            if !valid[c] || terms[i].is_nan() {
+                terms[i] = sq_euclidean(data.row(i), centroids.row(c));
+            }
+        }
+        terms_at.clear();
+        for c in 0..k {
+            terms_at.extend_from_slice(centroids.row(c));
+        }
         // lint: allow(D04, WCSS is summed sequentially in point order on the caller thread after assignment settles)
-        .sum();
-    KMeansResult {
+        terms.iter().sum()
+    } else {
+        f64::NAN
+    };
+    let result = KMeansResult {
         assignments,
         centroids,
         wcss,
         iterations,
         total_iterations: iterations as u64,
+    };
+    let carry = LloydCarry {
+        upper,
+        lower,
+        sums,
+        counts,
+        stale,
+        terms,
+        terms_at,
+    };
+    (result, carry)
+}
+
+/// One point's assignment-step outcome, with its updated bounds.
+#[derive(Debug, Clone, Copy)]
+enum Settle {
+    /// The bounds prove the assignment: nothing computed.
+    Pruned(f64, f64),
+    /// One exact distance to the own centroid proved the assignment.
+    Confirmed(f64, f64),
+    /// The full argmin: cluster, upper bound, lower bound.
+    Nearest(usize, f64, f64),
+}
+
+/// How far each centroid moved in one update, for loosening bounds.
+struct Travel {
+    moved: Vec<f64>,
+    /// The farthest-moved centroid, its travel, and the largest travel
+    /// among the others.
+    far: usize,
+    max: f64,
+    second: f64,
+}
+
+impl Travel {
+    /// No centroid has moved.
+    fn none(k: usize) -> Travel {
+        Travel {
+            moved: vec![0.0; k],
+            far: 0,
+            max: 0.0,
+            second: 0.0,
+        }
     }
+
+    /// Recompute the summary after `moved` was rewritten (the first
+    /// centroid on ties; 0 when there is no other).
+    fn refresh(&mut self) {
+        (self.far, self.max, self.second) = (0, 0.0, 0.0);
+        for (c, &m) in self.moved.iter().enumerate() {
+            if m > self.max {
+                (self.far, self.max, self.second) = (c, m, self.max);
+            } else if m > self.second {
+                self.second = m;
+            }
+        }
+    }
+
+    /// Triangle inequality: a point's distance to its own centroid grew
+    /// by at most that centroid's travel; its distance to any other
+    /// centroid shrank by at most the largest travel among the *other*
+    /// centroids — the runner-up travel for members of the farthest-
+    /// moved cluster. When nothing moved, the bounds stay as they are.
+    #[inline]
+    fn loosen(&self, assigned: usize, upper: f64, lower: f64) -> (f64, f64) {
+        if self.max == 0.0 {
+            return (upper, lower);
+        }
+        let shrink = if assigned == self.far {
+            self.second
+        } else {
+            self.max
+        };
+        (
+            pad_up(upper + self.moved[assigned]),
+            pad_down(lower - shrink),
+        )
+    }
+}
+
+/// What the assignment step reads besides the per-point state.
+struct AssignStep<'a> {
+    data: &'a Dataset,
+    centroids: &'a Dataset,
+    pruning: bool,
+    /// The previous update's travel, not yet applied to the bounds.
+    travel: &'a Travel,
+    /// Seed distances for the first step of a [`Start::Seeded`] run.
+    seeded: Option<&'a [f64]>,
+}
+
+impl AssignStep<'_> {
+    /// Settle point `i`: loosen its bounds by the pending travel, skip
+    /// it while they prove its assignment is the unique nearest;
+    /// otherwise tighten the upper bound with the exact distance to its
+    /// own centroid and check again; otherwise scan every centroid
+    /// (strict `<`, lowest index on ties — the cold argmin).
+    #[inline]
+    fn settle(&self, i: usize, assigned: usize, upper: f64, lower: f64) -> Settle {
+        let row = self.data.row(i);
+        if self.pruning {
+            let (upper, lower) = self.travel.loosen(assigned, upper, lower);
+            if upper < lower {
+                return Settle::Pruned(upper, lower);
+            }
+            if lower > 0.0 {
+                let up = pad_up(sq_euclidean(row, self.centroids.row(assigned)).sqrt());
+                if up < lower {
+                    return Settle::Confirmed(up, lower);
+                }
+            }
+        }
+        let k = self.centroids.nrows();
+        match self.seeded {
+            Some(dists) => nearest(dists[i * k..(i + 1) * k].iter().copied()),
+            None => nearest((0..k).map(|c| sq_euclidean(row, self.centroids.row(c)))),
+        }
+    }
+}
+
+/// The argmin over squared distances in centroid order (strict `<`,
+/// lowest index on ties), with a padded upper bound on its distance and
+/// a padded lower bound on every other.
+#[inline]
+fn nearest(dists: impl Iterator<Item = f64>) -> Settle {
+    let mut best_c = 0;
+    let mut best_d = f64::INFINITY;
+    let mut second_d = f64::INFINITY;
+    for (c, dist) in dists.enumerate() {
+        if dist < best_d {
+            second_d = best_d;
+            best_d = dist;
+            best_c = c;
+        } else if dist < second_d {
+            second_d = dist;
+        }
+    }
+    Settle::Nearest(best_c, pad_up(best_d.sqrt()), pad_down(second_d.sqrt()))
+}
+
+/// `sum[j] += row[j]` for every column, in column order.
+#[inline]
+fn add_row(sum: &mut [f64], row: &[f64]) {
+    for (s, v) in sum.iter_mut().zip(row) {
+        *s += v;
+    }
+}
+
+/// Whether two equal-length vectors hold bit-identical values.
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Round a bound up so that accumulated floating-point error can never
@@ -392,28 +773,36 @@ fn pad_up(x: f64) -> f64 {
     x + (x.abs() * 1e-12 + 1e-300)
 }
 
-/// Mirror of [`pad_up`] for lower bounds.
+/// Mirror of [`pad_up`] for lower bounds. An infinite bound (k = 1: no
+/// other centroid) stays infinite rather than padding to NaN, which
+/// would never prune.
 #[inline]
 fn pad_down(x: f64) -> f64 {
+    if x == f64::INFINITY {
+        return x;
+    }
     x - (x.abs() * 1e-12 + 1e-300)
 }
 
-/// k-means++ seeding: first centroid uniform, each subsequent centroid
-/// sampled with probability proportional to squared distance from the
-/// nearest already-chosen centroid.
-fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut StdRng) -> Dataset {
-    let n = data.nrows();
+/// k-means++ seeding over the first `n` rows of `data`: first centroid
+/// uniform, each subsequent centroid sampled with probability
+/// proportional to squared distance from the nearest already-chosen
+/// centroid. Also returns the squared distance from every point to
+/// every seed (`n × k`, row-major), for Lloyd's first assignment step.
+fn kmeanspp_init(data: &Dataset, n: usize, k: usize, rng: &mut StdRng) -> (Dataset, Vec<f64>) {
     let d = data.ncols();
     let mut centroids = Dataset::zeros(k, d);
+    let mut dists = vec![0.0f64; n * k];
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(data.row(first));
 
     let mut min_sq = vec![f64::INFINITY; n];
     for c in 1..k {
-        for i in 0..n {
+        for (i, m) in min_sq.iter_mut().enumerate() {
             let dist = sq_euclidean(data.row(i), centroids.row(c - 1));
-            if dist < min_sq[i] {
-                min_sq[i] = dist;
+            dists[i * k + c - 1] = dist;
+            if dist < *m {
+                *m = dist;
             }
         }
         // lint: allow(D04, kmeans++ seeding is sequential by construction; the running distance sum never crosses threads)
@@ -435,7 +824,10 @@ fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut StdRng) -> Dataset {
         };
         centroids.row_mut(c).copy_from_slice(data.row(chosen));
     }
-    centroids
+    for i in 0..n {
+        dists[i * k + k - 1] = sq_euclidean(data.row(i), centroids.row(k - 1));
+    }
+    (centroids, dists)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Additional property tests for the clustering crate.
 
 use incprof_cluster::{
-    adjusted_rand_index, kmeans, rand_index, select_k, Dataset, KMeansConfig, KSelectionMethod,
-    Scaling,
+    adjusted_rand_index, kmeans, rand_index, select_k, ChainConfig, Dataset, KChain, KMeansConfig,
+    KMeansResult, KSelectionMethod, Scaling,
 };
 use proptest::prelude::*;
 
@@ -13,8 +13,81 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// Series for the fold: enough rows to cross several reviews, with
+/// coordinates often drawn from a coarse grid so duplicate rows, exact
+/// distance ties and empty-cluster repairs all occur.
+fn arb_series() -> impl Strategy<Value = Dataset> {
+    (1usize..4).prop_flat_map(|d| {
+        let coord = (0u8..3, 0i32..4, -50.0f64..50.0).prop_map(|(pick, grid, free)| {
+            if pick < 2 {
+                f64::from(grid) * 2.5
+            } else {
+                free
+            }
+        });
+        proptest::collection::vec(proptest::collection::vec(coord, d..=d), 8..48)
+            .prop_map(Dataset::from_rows)
+    })
+}
+
+/// Same assignments, centroid bits, WCSS bits and iteration counts.
+fn same_fold_state(a: &KMeansResult, b: &KMeansResult, t: usize) -> Result<(), String> {
+    let bits = |r: &KMeansResult| -> Vec<u64> {
+        (0..r.k())
+            .flat_map(|c| r.centroids.row(c).iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    prop_assert!(
+        a.assignments == b.assignments,
+        "assignments differ at t={t}"
+    );
+    prop_assert!(bits(a) == bits(b), "centroid bits differ at t={t}");
+    prop_assert!(
+        a.wcss.to_bits() == b.wcss.to_bits(),
+        "wcss differs at t={t}"
+    );
+    prop_assert!(a.iterations == b.iterations, "iterations differ at t={t}");
+    prop_assert!(
+        a.total_iterations == b.total_iterations,
+        "total iterations differ at t={t}"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The Lloyd state a chain carries between fold steps is a pure cost
+    /// cache: advancing row by row with it lands, at every prefix, in
+    /// the bits of a chain whose carry is dropped before each step (each
+    /// step then runs cold) and of one with pruning off (the naive
+    /// oracle, which reuses nothing).
+    #[test]
+    fn carried_fold_steps_match_cold_steps_and_naive(
+        data in arb_series(),
+        k in 1usize..7,
+        review_every in 0usize..6,
+    ) {
+        let k = k.min(data.nrows());
+        let cfg = |pruning| ChainConfig {
+            base: KMeansConfig { restarts: 3, pruning, ..KMeansConfig::new(k) },
+            review_every,
+            review_candidates: 2,
+        };
+        let (on, off) = (cfg(true), cfg(false));
+        let mut carried = KChain::start(&data, k, &on);
+        let mut dropped = KChain::start(&data, k, &on);
+        let mut naive = KChain::start(&data, k, &off);
+        same_fold_state(&carried.last, &naive.last, k)?;
+        for t in k + 1..=data.nrows() {
+            carried.advance(&data, t, &on);
+            dropped = KChain::from_parts(dropped.k, dropped.covered, dropped.last);
+            dropped.advance(&data, t, &on);
+            naive.advance(&data, t, &off);
+            same_fold_state(&carried.last, &dropped.last, t)?;
+            same_fold_state(&carried.last, &naive.last, t)?;
+        }
+    }
 
     #[test]
     fn minmax_scaling_bounds_columns(data in arb_dataset()) {

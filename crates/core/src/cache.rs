@@ -450,17 +450,17 @@ impl AnalysisCache {
                 }
                 assignments.push(a);
             }
-            chains.push(KChain {
+            chains.push(KChain::from_parts(
                 k,
                 covered,
-                last: KMeansResult {
+                KMeansResult {
                     assignments,
                     centroids,
                     wcss,
                     iterations,
                     total_iterations,
                 },
-            });
+            ));
         }
         let last_covered = if flags & 4 != 0 {
             Some((r.u64()?, r.u64()?))

@@ -138,35 +138,49 @@ impl Pool {
         let cursor = AtomicUsize::new(0);
         let parts: Mutex<Vec<(usize, A)>> = Mutex::new(Vec::with_capacity(nchunks));
         let stats: Mutex<CallStats> = Mutex::new(CallStats::default());
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let (cursor, parts, stats, f, bounds) = (&cursor, &parts, &stats, &f, &bounds);
-                s.spawn(move || {
-                    let _worker = WorkerGuard::enter();
-                    let mut local = CallStats::default();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= nchunks {
-                            break;
+        // Join every worker explicitly and re-raise the first panic with
+        // its own payload: left to the scope, a worker panic surfaces as
+        // a generic "a scoped thread panicked" and the message is lost.
+        let panic = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (cursor, parts, stats, f, bounds) = (&cursor, &parts, &stats, &f, &bounds);
+                    s.spawn(move || {
+                        let _worker = WorkerGuard::enter();
+                        let mut local = CallStats::default();
+                        loop {
+                            let c = cursor.fetch_add(1, Ordering::Relaxed);
+                            if c >= nchunks {
+                                break;
+                            }
+                            local.tasks += 1;
+                            if static_owner(c, nchunks, workers) != w {
+                                local.steals += 1;
+                            }
+                            let out = f(bounds(c));
+                            // lint: allow(D05, push under an uncontended mutex, held for one Vec push per completed chunk)
+                            unpoisoned(parts.lock()).push((c, out));
                         }
-                        local.tasks += 1;
-                        if static_owner(c, nchunks, workers) != w {
-                            local.steals += 1;
+                        if local.tasks == 0 {
+                            // Arrived after the queue drained: pure spawn
+                            // overhead, worth surfacing as a sizing signal.
+                            local.queue_waits = 1;
                         }
-                        let out = f(bounds(c));
-                        // lint: allow(D05, push under an uncontended mutex, held for one Vec push per completed chunk)
-                        unpoisoned(parts.lock()).push((c, out));
-                    }
-                    if local.tasks == 0 {
-                        // Arrived after the queue drained: pure spawn
-                        // overhead, worth surfacing as a sizing signal.
-                        local.queue_waits = 1;
-                    }
-                    // lint: allow(D05, one stats merge per worker exit, never inside the chunk loop)
-                    unpoisoned(stats.lock()).merge(local);
-                });
-            }
+                        // lint: allow(D05, one stats merge per worker exit, never inside the chunk loop)
+                        unpoisoned(stats.lock()).merge(local);
+                    })
+                })
+                .collect();
+            // Join all of them (no short-circuit): a second panicking
+            // worker left to the scope would still raise the generic one.
+            handles
+                .into_iter()
+                // lint: allow(D05, joins this call's own scoped workers, which the scope would join anyway)
+                .fold(None, |first, h| first.or(h.join().err()))
         });
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
 
         record_call(unpoisoned(stats.into_inner()), workers);
         let mut parts = unpoisoned(parts.into_inner());
@@ -299,8 +313,19 @@ where
 mod tests {
     use super::*;
 
+    /// The pool's scheduling counters are process-wide, so a test that
+    /// asserts their exact deltas would see the parallel calls of tests
+    /// running beside it. Every test here that can reach a multi-worker
+    /// call holds this lock.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn map_index_is_ordered_for_every_worker_count() {
+        let _serial = serial();
         let expect: Vec<usize> = (0..1000).map(|i| i * 3).collect();
         for workers in [1, 2, 3, 8, 17] {
             let pool = Pool::with_workers(workers);
@@ -310,6 +335,7 @@ mod tests {
 
     #[test]
     fn map_chunks_boundaries_are_fixed() {
+        let _serial = serial();
         // Chunk boundaries must depend on (n, chunk) only: record them.
         let pool = Pool::with_workers(4);
         let ranges = pool.map_chunks(10, 4, |r| r);
@@ -320,6 +346,7 @@ mod tests {
 
     #[test]
     fn float_reduction_is_bit_identical_across_worker_counts() {
+        let _serial = serial();
         // Sums whose value depends on association order: 1/(i+1) partials.
         let reduce = |workers: usize| {
             Pool::with_workers(workers)
@@ -347,6 +374,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_sequentially_not_exponentially() {
+        let _serial = serial();
         // A 4-worker outer map whose tasks each issue another parallel
         // call: the inner calls must degrade to inline execution (the
         // result is the same; this also must not deadlock or explode).
@@ -361,6 +389,7 @@ mod tests {
 
     #[test]
     fn for_chunks_covers_every_index_once() {
+        let _serial = serial();
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
         Pool::with_workers(3).for_chunks(100, 9, |r| {
             for i in r {
@@ -372,6 +401,7 @@ mod tests {
 
     #[test]
     fn set_threads_overrides_and_clears() {
+        let _serial = serial();
         set_threads(3);
         assert_eq!(threads(), 3);
         assert_eq!(Pool::current().workers(), 3);
@@ -381,6 +411,7 @@ mod tests {
 
     #[test]
     fn pool_records_scheduling_metrics() {
+        let _serial = serial();
         let calls = incprof_obs::counter(incprof_obs::names::PAR_POOL_CALLS).get();
         let tasks = incprof_obs::counter(incprof_obs::names::PAR_POOL_TASKS).get();
         Pool::with_workers(4).map_index(64, 2, |i| i);
@@ -402,8 +433,29 @@ mod tests {
         assert_eq!(static_owner(5, 6, 4), 3);
     }
 
+    /// A worker's panic reaches the caller with its own message, not
+    /// the scope's generic "a scoped thread panicked".
+    #[test]
+    fn worker_panic_keeps_its_message() {
+        let _serial = serial();
+        let caught = std::panic::catch_unwind(|| {
+            Pool::with_workers(2).map_index(8, 1, |i| {
+                assert!(i != 5, "task {i} failed on purpose");
+                i
+            })
+        });
+        let payload = caught.expect_err("the task panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert_eq!(msg, "task 5 failed on purpose");
+    }
+
     #[test]
     fn zero_and_tiny_inputs_work() {
+        let _serial = serial();
         assert_eq!(Pool::with_workers(4).map_index(0, 8, |i| i), Vec::new());
         assert_eq!(par_map_index(1, |i| i + 1), vec![1]);
         assert_eq!(par_map(&[10, 20], |x| x + 1), vec![11, 21]);

@@ -21,6 +21,11 @@
 #                               # app, cold-path budget, k7/k8 Lloyd
 #                               # iteration cap; leaves
 #                               # experiments_out/incr_report.json
+#   scripts/check.sh bench-smoke
+#                               # only the benchmark smoke: perfbench's
+#                               # unit tests plus a 2-second
+#                               # offline-detect run that must exit 0
+#                               # with "correct":true
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -232,6 +237,24 @@ incr_gate() {
     cargo run -q --release -p incprof-bench --bin incr_bench
 }
 
+bench_smoke() {
+    echo "==> bench smoke (perfbench unit tests + 2 s offline-detect run)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    # The result is the last line of stdout; a failed output check exits
+    # non-zero, which set -e turns into a failed gate.
+    local result
+    result="$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload offline-detect --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    printf '%s\n' "$result" | grep -q '"correct":true' \
+        || { echo "bench smoke: offline-detect result is not correct: $result"; exit 1; }
+}
+
+if [ "${1:-all}" = "bench-smoke" ]; then
+    bench_smoke
+    echo "Benchmark smoke passed."
+    exit 0
+fi
+
 if [ "${1:-all}" = "sca" ]; then
     sca_gate
     echo "Static-analysis gate passed."
@@ -273,6 +296,8 @@ echo "==> cache determinism (warm analysis byte-identical to cold)"
 cargo test -q -p incprof-suite --test cache_determinism
 
 incr_gate
+
+bench_smoke
 
 serve_smoke
 
