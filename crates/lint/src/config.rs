@@ -123,7 +123,7 @@ impl Default for Config {
             // The app harness stamps wall progress for operator output.
             "crates/apps/src/harness.rs",
             // The daemon stamps frame arrival for ingest-latency metrics
-            // and polls sockets on real timeouts.
+            // and evicts idle sessions by age.
             "crates/serve/src/server.rs",
             // The admin plane stamps scrape time for idle-age gauges; it
             // is read-only and never feeds the analysis pipeline.
@@ -139,11 +139,10 @@ impl Default for Config {
             "crates/par/",
             // The wall collector owns its tick thread.
             "crates/collect/src/collector.rs",
-            // The daemon's acceptor and bounded worker threads.
-            "crates/serve/src/server.rs",
-            // The shard router's acceptor, admin, and per-connection
-            // threads mirror the daemon's.
-            "crates/shard/",
+            // The socket planes' connection layer: every acceptor,
+            // worker, and per-connection thread of the serve daemon and
+            // the shard router.
+            "crates/serve/src/listen.rs",
         ]
         .map(String::from)
         .to_vec();
@@ -257,8 +256,9 @@ mod tests {
         assert!(!c.d01_allows("crates/core/src/pipeline.rs"));
         // `/`-terminated entries are prefixes; others are not.
         assert!(c.d03_allows("crates/par/src/pool.rs"));
-        assert!(c.d03_allows("crates/serve/src/server.rs"));
-        assert!(c.d03_allows("crates/shard/src/router.rs"));
+        assert!(c.d03_allows("crates/serve/src/listen.rs"));
+        assert!(!c.d03_allows("crates/serve/src/server.rs"));
+        assert!(!c.d03_allows("crates/shard/src/router.rs"));
         assert!(!c.d03_allows("crates/serve/src/client.rs"));
         assert!(!c.d03_allows("crates/collect/src/collector_helper.rs"));
         // A caller can extend the scope without touching rule code.

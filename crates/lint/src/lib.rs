@@ -11,7 +11,7 @@
 //! |------|-----------|
 //! | D01  | wall-clock hygiene: `Instant::now`/`SystemTime` only in the clock allowlist |
 //! | D02  | deterministic iteration: no `HashMap`/`HashSet` in analysis crates |
-//! | D03  | thread hygiene: threads only in `incprof-par` and the collector |
+//! | D03  | thread hygiene: threads only in `incprof-par`, the collector, and the serve connection layer |
 //! | D04  | chunked float reductions: no raw `.sum()` bypassing `reduce_chunks` |
 //! | O01  | obs names come from `incprof_obs::names`, not call-site literals |
 //! | P01  | no `unwrap`/`expect` in library code without a justified marker |

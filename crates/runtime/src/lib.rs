@@ -25,8 +25,6 @@
 //!   time of still-executing functions (like PC sampling).
 //! * [`ScopeGuard`] — RAII guard produced by [`ProfilerRuntime::enter`];
 //!   dropping it exits the function.
-//! * [`sampling`] — optional quantization of exact self times onto a gprof
-//!   sampling grid (default 10 ms), for ablations on sampling resolution.
 //!
 //! ```
 //! use incprof_runtime::{Clock, ProfilerRuntime};
@@ -48,7 +46,6 @@
 pub mod clock;
 pub mod linecov;
 pub mod profiler;
-pub mod sampling;
 
 pub use clock::Clock;
 pub use linecov::{LineCounter, LineCoverage, LineId, LineSnapshot};

@@ -22,8 +22,12 @@
 //! - [`session`] — per-run state and the concurrent session registry,
 //!   with bounded ingest queues, fault isolation, and — when a store
 //!   is attached — LRU eviction plus transparent rehydration.
-//! - [`server`] — the daemon: accept loop, bounded worker pool,
-//!   backpressure, graceful drain-on-shutdown.
+//! - [`listen`] — the connection layer every socket plane (daemon and
+//!   shard router, data and admin) runs on: one accept loop, one frame
+//!   loop, the shutdown/handle lifecycle, and the three concurrency
+//!   policies.
+//! - [`server`] — the daemon: its data plane's bounded worker pool,
+//!   backpressure, dispatch, graceful drain-on-shutdown.
 //! - [`mod@admin`] — the optional read-only admin listener: Prometheus
 //!   scrape, trace-tree lookup, flight-recorder dump, health.
 //! - [`client`] — a blocking request/reply client (data and admin).
@@ -42,6 +46,7 @@ pub mod admin;
 pub mod backoff;
 pub mod client;
 pub mod frame;
+pub mod listen;
 pub mod server;
 pub mod session;
 pub mod signal;

@@ -15,21 +15,15 @@
 //! panic.
 
 use crate::frame::{ErrorCode, ErrorInfo};
+use crate::listen::lock;
 use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector, SourceGraph};
 use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileSnapshot};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Lock a mutex, continuing through poisoning: registry state is plain
-/// data and every mutation is small and panic-free, so a poisoned lock
-/// only means a *peer* thread died mid-request.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Result of offering a snapshot to a session's ingest queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -27,26 +27,22 @@
 //! caused it.
 
 use crate::ring::Ring;
+use incprof_serve::admin::{answer_recorder_dump, answer_trace_get, push_scalar_metrics};
 use incprof_serve::frame::{
     read_frame, write_frame, ErrorCode, ErrorInfo, Frame, FrameType, ReadOutcome,
     DEFAULT_MAX_PAYLOAD,
 };
-use incprof_serve::server::{bind_addr, wake_acceptor, Conn, Listener};
+use incprof_serve::listen::{
+    self, lock, Conn, ConnThreads, Lifecycle, Limits, Link, Listener, Plane,
+};
 use incprof_serve::{BindAddr, RetentionPolicy, Store};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Lock a mutex, continuing through poisoning (router state is plain
-/// data; a poisoned lock only means a peer thread died mid-request).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// One backend as the router dials it.
 #[derive(Debug, Clone)]
@@ -104,14 +100,14 @@ impl Default for RouterConfig {
 struct RouterShared {
     config: RouterConfig,
     ring: Ring,
-    shutdown: AtomicBool,
+    life: Lifecycle,
     /// Per-backend health; a false value is permanent for the router's
     /// life (no flapping, no half-open probes — restart to rejoin).
     up: Vec<AtomicBool>,
     /// Cluster-wide session id allocator (seeded past the store).
     next_id: AtomicU64,
-    /// Live client-connection count, for the accept cap.
-    conns: AtomicUsize,
+    /// One thread per client connection, capped at `max_conns`.
+    conns: ConnThreads,
     /// Last known backend per session, for the replay counters.
     placement: Mutex<HashMap<u64, usize>>,
     /// Frames forwarded per backend (bench reads this per shard).
@@ -119,10 +115,6 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
     fn backend_up(&self, b: usize) -> bool {
         self.up.get(b).is_some_and(|f| f.load(Ordering::Acquire))
     }
@@ -160,8 +152,7 @@ impl RouterShared {
 /// A bound (but not yet running) router.
 pub struct Router {
     listener: Listener,
-    addr: String,
-    admin: Option<(Listener, String)>,
+    admin: Option<Listener>,
     shared: Arc<RouterShared>,
 }
 
@@ -175,11 +166,12 @@ impl Router {
                 "a shard router needs at least one backend",
             ));
         }
-        let (listener, addr) = bind_addr(&config.addr)?;
-        let admin = match &config.admin {
-            Some(spec) => Some(bind_addr(spec)?),
-            None => None,
+        let limits = Limits {
+            read_timeout: config.read_timeout,
+            idle_timeout: config.idle_timeout,
+            max_payload: config.max_payload,
         };
+        let (life, listener, admin) = Lifecycle::bind(&config.addr, config.admin.as_ref(), limits)?;
         // Seed cluster-wide allocation past anything a previous cluster
         // persisted, exactly as a backend's recover() does locally.
         let mut next_id = 1u64;
@@ -192,13 +184,12 @@ impl Router {
             }
         }
         let n = config.backends.len();
-        let ring = Ring::new(n);
         let shared = Arc::new(RouterShared {
-            ring,
-            shutdown: AtomicBool::new(false),
+            ring: Ring::new(n),
+            life,
             up: (0..n).map(|_| AtomicBool::new(true)).collect(),
             next_id: AtomicU64::new(next_id),
-            conns: AtomicUsize::new(0),
+            conns: ConnThreads::new(config.max_conns),
             placement: Mutex::new(HashMap::new()),
             routed: (0..n).map(|_| AtomicU64::new(0)).collect(),
             config,
@@ -206,7 +197,6 @@ impl Router {
         incprof_obs::gauge(incprof_obs::names::SHARD_BACKENDS_UP).set(n as u64);
         Ok(Router {
             listener,
-            addr,
             admin,
             shared,
         })
@@ -214,57 +204,90 @@ impl Router {
 
     /// The bound front address (`ip:port` or Unix path).
     pub fn local_addr(&self) -> &str {
-        &self.addr
+        self.shared.life.addr()
     }
 
     /// Spawn the acceptor (and admin) threads and return a handle.
     pub fn start(self) -> io::Result<RouterHandle> {
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::with_capacity(2);
-        let mut admin_addr = None;
-        if let Some((listener, a)) = self.admin {
+        if let Some(listener) = self.admin {
             let shared = Arc::clone(&self.shared);
-            let t = std::thread::Builder::new()
-                .name("incprof-shard-admin".to_string())
-                .spawn(move || admin_loop(&listener, &shared))?;
-            threads.push(t);
-            admin_addr = Some(a);
+            threads.push(listen::spawn(
+                "incprof-shard-admin".to_string(),
+                move || {
+                    // Served inline: the router's admin plane is as
+                    // single-threaded as the daemon's.
+                    listen::accept_loop(&listener, &ADMIN_PLANE, &shared.life, |conn| {
+                        listen::frame_loop(conn, &ADMIN_PLANE, &shared.life, |link, frame| {
+                            dispatch_admin(link, &shared, frame)
+                        })
+                    })
+                },
+            )?);
         }
         let shared = Arc::clone(&self.shared);
         let listener = self.listener;
-        let spawned = Arc::clone(&conn_threads);
-        let acceptor = std::thread::Builder::new()
-            .name("incprof-shard-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared, &spawned))?;
-        threads.push(acceptor);
+        threads.push(listen::spawn(
+            "incprof-shard-accept".to_string(),
+            move || {
+                listen::accept_loop(&listener, &DATA_PLANE, &shared.life, |conn| {
+                    let conn_shared = Arc::clone(&shared);
+                    let spawned = shared.conns.spawn("incprof-shard-conn", conn, move |conn| {
+                        client_conn(conn, &conn_shared)
+                    });
+                    if let Err(conn) = spawned {
+                        listen::reply_busy(conn);
+                    }
+                })
+            },
+        )?);
         Ok(RouterHandle {
             shared: self.shared,
-            addr: self.addr,
-            admin_addr,
             threads,
-            conn_threads,
         })
     }
 }
 
+/// The router's data plane: one thread per client connection under the
+/// `max_conns` cap, no `serve.*` accounting (the backends count the
+/// traffic), and a `ShuttingDown` reply on drain.
+static DATA_PLANE: Plane = Plane {
+    name: "shard data",
+    accepted: incprof_obs::names::SHARD_CONNS_ACCEPTED,
+    frames_in: None,
+    bytes_in: None,
+    serve_counters: false,
+    error_events: false,
+    drain_reply: Some("router draining"),
+};
+
+/// The router's merged admin plane: served inline, drained connections
+/// closed quietly.
+static ADMIN_PLANE: Plane = Plane {
+    name: "shard admin",
+    accepted: incprof_obs::names::SHARD_ADMIN_CONNS,
+    frames_in: None,
+    bytes_in: None,
+    serve_counters: false,
+    error_events: false,
+    drain_reply: None,
+};
+
 /// Handle to a running router.
 pub struct RouterHandle {
     shared: Arc<RouterShared>,
-    addr: String,
-    admin_addr: Option<String>,
     threads: Vec<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl RouterHandle {
     /// The bound front address.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.shared.life.addr()
     }
 
     /// The merged admin socket's address, when configured.
     pub fn admin_addr(&self) -> Option<&str> {
-        self.admin_addr.as_deref()
+        self.shared.life.admin_addr()
     }
 
     /// Frames forwarded to each backend since start (index = shard).
@@ -287,32 +310,18 @@ impl RouterHandle {
 
     /// Flip the shutdown flag without joining (idempotent).
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        wake_acceptor(&self.shared.config.addr, &self.addr);
-        if let (Some(spec), Some(addr)) = (&self.shared.config.admin, &self.admin_addr) {
-            wake_acceptor(spec, addr);
-        }
+        self.shared.life.request_stop();
     }
 
     /// Whether shutdown has been requested (by flag or by frame).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down()
+        self.shared.life.stopping()
     }
 
     /// Block until shutdown is requested — by a `Shutdown` frame from
     /// the wire or by `external` flipping true (e.g. a SIGINT flag).
     pub fn wait(&self, external: Option<&AtomicBool>) {
-        loop {
-            if self.shared.shutting_down() {
-                return;
-            }
-            if let Some(flag) = external {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        self.shared.life.wait(external);
     }
 
     /// Gracefully stop: flag, wake, join every router thread, then
@@ -320,21 +329,11 @@ impl RouterHandle {
     /// ack — the drain ordering `docs/CLUSTER.md` documents. Backends
     /// already marked down are skipped (their drain happened when they
     /// died, or never will).
-    pub fn shutdown(mut self) {
-        self.request_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        for t in lock(&self.conn_threads).drain(..) {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        self.shared.life.request_stop();
+        self.shared.life.finish(self.threads);
+        self.shared.conns.join_all();
         drain_backends(&self.shared);
-        if let BindAddr::Unix(path) = &self.shared.config.addr {
-            let _ = std::fs::remove_file(path);
-        }
-        if let Some(BindAddr::Unix(path)) = &self.shared.config.admin {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -366,125 +365,40 @@ fn drain_backends(shared: &RouterShared) {
 /// Dial one backend address (`/` ⇒ Unix socket path) with the poll
 /// interval set.
 fn dial(addr: &str, read_timeout: Duration) -> io::Result<Conn> {
-    if addr.contains('/') {
-        let s = std::os::unix::net::UnixStream::connect(addr)?;
-        s.set_read_timeout(Some(read_timeout))?;
-        Ok(Conn::Unix(s))
-    } else {
-        let s = TcpStream::connect(addr)?;
-        s.set_read_timeout(Some(read_timeout))?;
-        Ok(Conn::Tcp(s))
-    }
-}
-
-fn accept_loop(
-    listener: &Listener,
-    shared: &Arc<RouterShared>,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let conn = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                incprof_obs::warn!("shard accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shared.shutting_down() {
-            return;
-        }
-        incprof_obs::counter(incprof_obs::names::SHARD_CONNS_ACCEPTED).inc();
-        if shared.conns.load(Ordering::Acquire) >= shared.config.max_conns {
-            let mut conn = conn;
-            let _ = write_frame(&mut conn, &Frame::empty(FrameType::Busy, 0));
-            continue;
-        }
-        shared.conns.fetch_add(1, Ordering::AcqRel);
-        let shared2 = Arc::clone(shared);
-        let spawn = std::thread::Builder::new()
-            .name("incprof-shard-conn".to_string())
-            .spawn(move || {
-                client_loop(conn, &shared2);
-                shared2.conns.fetch_sub(1, Ordering::AcqRel);
-            });
-        match spawn {
-            Ok(t) => lock(conn_threads).push(t),
-            Err(e) => {
-                shared.conns.fetch_sub(1, Ordering::AcqRel);
-                incprof_obs::warn!("could not spawn connection thread: {e}");
-            }
-        }
-    }
+    Conn::connect(&BindAddr::parse(addr), read_timeout)
 }
 
 /// Serve one client connection: read frames, route, forward replies.
 /// Owns one lazily-dialed connection per backend so request/reply
 /// ordering per backend is trivial and `Busy` propagates naturally.
-fn client_loop(mut conn: Conn, shared: &RouterShared) {
-    if conn.set_read_timeout(shared.config.read_timeout).is_err() {
-        return;
-    }
+fn client_conn(conn: Conn, shared: &RouterShared) {
     let mut backends: Vec<Option<Conn>> = (0..shared.config.backends.len()).map(|_| None).collect();
-    let idle_limit = shared.config.idle_timeout.as_nanos();
-    let mut idle_polls: u128 = 0;
-    loop {
-        if shared.shutting_down() {
-            send_error(&mut conn, 0, ErrorCode::ShuttingDown, "router draining");
-            return;
-        }
-        let outcome = match read_frame(&mut conn, shared.config.max_payload) {
-            Ok(outcome) => outcome,
-            Err(_) => return,
-        };
-        let frame = match outcome {
-            ReadOutcome::Frame(f) => f,
-            ReadOutcome::Closed => return,
-            ReadOutcome::TimedOut => {
-                idle_polls += 1;
-                if idle_polls * shared.config.read_timeout.as_nanos() >= idle_limit {
-                    return;
-                }
-                continue;
-            }
-            ReadOutcome::Malformed(e) => {
-                send_error(&mut conn, 0, ErrorCode::of_frame_error(&e), &e.to_string());
-                return;
-            }
-        };
-        idle_polls = 0;
-        if !dispatch(&mut conn, shared, frame, &mut backends) {
-            return;
-        }
-    }
+    listen::frame_loop(conn, &DATA_PLANE, &shared.life, |link, frame| {
+        dispatch(link, shared, frame, &mut backends)
+    });
 }
 
 /// Handle one client frame; returns false when the connection should
 /// end.
 fn dispatch(
-    conn: &mut Conn,
+    link: &mut Link,
     shared: &RouterShared,
     mut frame: Frame,
     backends: &mut [Option<Conn>],
 ) -> bool {
     match frame.frame_type {
         // The router is the liveness endpoint the client is talking to.
-        FrameType::Ping => send(conn, &Frame::empty(FrameType::Pong, frame.session_id)),
+        FrameType::Ping => link.send(&Frame::empty(FrameType::Pong, frame.session_id)),
         // Cluster-wide shutdown: drain every backend first, then ack —
         // when the client sees ShutdownAck the whole cluster is durable.
         FrameType::Shutdown => {
-            shared.shutdown.store(true, Ordering::Release);
+            shared.life.request_stop();
             drain_backends(shared);
-            send(conn, &Frame::empty(FrameType::ShutdownAck, 0));
-            wake_acceptor(&shared.config.addr, &front_addr_of(shared));
+            link.send(&Frame::empty(FrameType::ShutdownAck, 0));
             false
         }
         FrameType::Scrape | FrameType::TraceGet | FrameType::RecorderDump | FrameType::Health => {
-            send_error(
-                conn,
+            link.send_error(
                 frame.session_id,
                 ErrorCode::BadType,
                 &format!("{:?} is admin-only; use the admin socket", frame.frame_type),
@@ -497,21 +411,13 @@ fn dispatch(
             if frame.frame_type == FrameType::Open && frame.session_id == 0 {
                 frame.session_id = shared.next_id.fetch_add(1, Ordering::AcqRel);
             }
-            forward(conn, shared, &frame, backends)
+            forward(link, shared, &frame, backends)
         }
-        other => send_error(
-            conn,
+        other => link.send_error(
             frame.session_id,
             ErrorCode::BadType,
             &format!("{other:?} is not a routable request"),
         ),
-    }
-}
-
-fn front_addr_of(shared: &RouterShared) -> String {
-    match &shared.config.addr {
-        BindAddr::Tcp(spec) => spec.clone(),
-        BindAddr::Unix(path) => path.display().to_string(),
     }
 }
 
@@ -520,7 +426,7 @@ fn front_addr_of(shared: &RouterShared) -> String {
 /// backend, and retransmit — the in-flight request is answered after
 /// recovery, never errored, as long as any backend survives.
 fn forward(
-    conn: &mut Conn,
+    link: &mut Link,
     shared: &RouterShared,
     frame: &Frame,
     backends: &mut [Option<Conn>],
@@ -529,12 +435,7 @@ fn forward(
     let mut rerouted = false;
     loop {
         let Some(b) = shared.ring.route(sid, |i| shared.backend_up(i)) else {
-            return send_error(
-                conn,
-                sid,
-                ErrorCode::ShuttingDown,
-                "no healthy backends remain",
-            );
+            return link.send_error(sid, ErrorCode::ShuttingDown, "no healthy backends remain");
         };
         if rerouted {
             incprof_obs::counter(incprof_obs::names::SHARD_FAILOVER_REROUTES).inc();
@@ -546,7 +447,7 @@ fn forward(
                 if let Some(c) = shared.routed.get(b) {
                     c.fetch_add(1, Ordering::Relaxed);
                 }
-                return send(conn, &reply);
+                return link.send(&reply);
             }
             Err(why) => {
                 incprof_obs::warn!("backend {b} failed ({why}); rerouting session {sid}");
@@ -611,139 +512,34 @@ fn read_reply(link: &mut Conn, shared: &RouterShared, limit: Duration) -> Result
     }
 }
 
-/// Write a frame to the client; returns false when the peer is gone.
-fn send(conn: &mut Conn, frame: &Frame) -> bool {
-    write_frame(conn, frame).is_ok()
-}
-
-fn send_error(conn: &mut Conn, session_id: u64, code: ErrorCode, message: &str) -> bool {
-    send(
-        conn,
-        &Frame::with_payload(
-            FrameType::Error,
-            session_id,
-            ErrorInfo::new(code, message).encode(),
-        ),
-    )
-}
-
 // --- merged admin plane ---
 
-/// Accept loop for the router's admin listener: `Scrape` fans out to
-/// every backend and merges the expositions under a `shard` label,
-/// `Health` aggregates per-backend status, and trace/recorder dumps
-/// answer from the router's own observability state.
-fn admin_loop(listener: &Listener, shared: &Arc<RouterShared>) {
-    loop {
-        let conn = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                incprof_obs::warn!("shard admin accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shared.shutting_down() {
-            return;
-        }
-        incprof_obs::counter(incprof_obs::names::SHARD_ADMIN_CONNS).inc();
-        admin_conn(conn, shared);
-    }
-}
-
-fn admin_conn(mut conn: Conn, shared: &RouterShared) {
-    if conn.set_read_timeout(shared.config.read_timeout).is_err() {
-        return;
-    }
-    let idle_limit = shared.config.idle_timeout.as_nanos();
-    let mut idle_polls: u128 = 0;
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        let outcome = match read_frame(&mut conn, shared.config.max_payload) {
-            Ok(outcome) => outcome,
-            Err(_) => return,
-        };
-        let frame = match outcome {
-            ReadOutcome::Frame(f) => f,
-            ReadOutcome::Closed => return,
-            ReadOutcome::TimedOut => {
-                idle_polls += 1;
-                if idle_polls * shared.config.read_timeout.as_nanos() >= idle_limit {
-                    return;
-                }
-                continue;
-            }
-            ReadOutcome::Malformed(e) => {
-                send_error(&mut conn, 0, ErrorCode::of_frame_error(&e), &e.to_string());
-                return;
-            }
-        };
-        idle_polls = 0;
-        if !dispatch_admin(&mut conn, shared, frame) {
-            return;
-        }
-    }
-}
-
-fn dispatch_admin(conn: &mut Conn, shared: &RouterShared, frame: Frame) -> bool {
+/// The merged admin plane: `Scrape` fans out to every backend and
+/// merges the expositions under a `shard` label, `Health` aggregates
+/// per-backend status, and trace/recorder dumps answer from the
+/// router's own observability state.
+fn dispatch_admin(link: &mut Link, shared: &RouterShared, frame: Frame) -> bool {
     match frame.frame_type {
         FrameType::Scrape => {
             incprof_obs::counter(incprof_obs::names::SHARD_ADMIN_SCRAPES).inc();
             let text = merged_scrape(shared);
-            send(
-                conn,
-                &Frame::with_payload(FrameType::ScrapeReply, 0, text.into_bytes()),
-            )
+            link.send(&Frame::with_payload(
+                FrameType::ScrapeReply,
+                0,
+                text.into_bytes(),
+            ))
         }
         FrameType::Health => {
             let json = merged_health(shared);
-            send(
-                conn,
-                &Frame::with_payload(FrameType::HealthReply, 0, json.into_bytes()),
-            )
+            link.send(&Frame::with_payload(
+                FrameType::HealthReply,
+                0,
+                json.into_bytes(),
+            ))
         }
-        FrameType::TraceGet => {
-            let Ok(bytes) = <[u8; 8]>::try_from(frame.payload.as_slice()) else {
-                return send_error(
-                    conn,
-                    0,
-                    ErrorCode::BadPayload,
-                    &format!(
-                        "TraceGet payload must be 8 bytes, got {}",
-                        frame.payload.len()
-                    ),
-                );
-            };
-            let trace_id = u64::from_le_bytes(bytes);
-            let tree =
-                incprof_obs::trace::store_trace_tree(incprof_obs::global().spans(), trace_id);
-            let json = serde_json::to_string(&tree)
-                .unwrap_or_else(|e| format!("{{\"error\":\"serialize failed: {e}\"}}"));
-            send(
-                conn,
-                &Frame::with_payload(FrameType::TraceReply, 0, json.into_bytes()),
-            )
-        }
-        FrameType::RecorderDump => {
-            let recorder = incprof_obs::recorder();
-            let events = recorder.snapshot();
-            let json = format!(
-                "{{\"total\":{},\"events\":{}}}",
-                recorder.total(),
-                serde_json::to_string(&events).unwrap_or_else(|_| "[]".to_string())
-            );
-            send(
-                conn,
-                &Frame::with_payload(FrameType::RecorderReply, 0, json.into_bytes()),
-            )
-        }
-        other => send_error(
-            conn,
+        FrameType::TraceGet => answer_trace_get(link, &frame),
+        FrameType::RecorderDump => answer_recorder_dump(link),
+        other => link.send_error(
             frame.session_id,
             ErrorCode::BadType,
             &format!("{other:?} is not served on the router admin socket"),
@@ -765,11 +561,6 @@ fn backend_admin_text(
         return Err(format!("expected {want:?}, got {:?}", reply.frame_type));
     }
     String::from_utf8(reply.payload).map_err(|_| "payload is not UTF-8".to_string())
-}
-
-/// `shard.frames.routed` → `incprof_shard_frames_routed`.
-fn prom_name(name: &str) -> String {
-    format!("incprof_{}", name.replace('.', "_"))
 }
 
 /// Fan `Scrape` out to every up backend with an admin address and merge
@@ -795,19 +586,7 @@ fn merged_scrape(shared: &RouterShared) -> String {
     // Router-local state: only the shard.* family, so an in-process
     // cluster (tests, bench) never double-counts backend metrics that
     // happen to share this process's global registry.
-    let metrics = incprof_obs::global().metrics();
-    for (name, value) in metrics.counter_values() {
-        if name.starts_with("shard.") {
-            let n = prom_name(&name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {value}\n"));
-        }
-    }
-    for (name, value) in metrics.gauge_values() {
-        if name.starts_with("shard.") {
-            let n = prom_name(&name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {value}\n"));
-        }
-    }
+    push_scalar_metrics(&mut out, |name| name.starts_with("shard."));
     out
 }
 
@@ -880,21 +659,28 @@ fn merged_health(shared: &RouterShared) -> String {
         "{{\"status\":\"{}\",\"backends\":[{}],\"draining\":{}}}",
         if all_ok { "ok" } else { "degraded" },
         entries.join(","),
-        shared.shutting_down()
+        shared.life.stopping()
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
 
     fn shared_for_test(n: usize) -> RouterShared {
+        let bind = BindAddr::Tcp("127.0.0.1:0".to_string());
+        let limits = Limits {
+            read_timeout: Duration::from_millis(100),
+            idle_timeout: Duration::from_secs(30),
+            max_payload: DEFAULT_MAX_PAYLOAD,
+        };
         RouterShared {
             ring: Ring::new(n),
-            shutdown: AtomicBool::new(false),
+            life: Lifecycle::bind(&bind, None, limits).unwrap().0,
             up: (0..n).map(|_| AtomicBool::new(true)).collect(),
             next_id: AtomicU64::new(1),
-            conns: AtomicUsize::new(0),
+            conns: ConnThreads::new(1),
             placement: Mutex::new(HashMap::new()),
             routed: (0..n).map(|_| AtomicU64::new(0)).collect(),
             config: RouterConfig {
@@ -964,5 +750,35 @@ mod tests {
     #[test]
     fn bind_rejects_zero_backends() {
         assert!(Router::bind(RouterConfig::default()).is_err());
+    }
+
+    #[test]
+    fn sequential_connections_do_not_accumulate_thread_handles() {
+        let handle = Router::bind(RouterConfig {
+            backends: vec![BackendSpec {
+                data: "127.0.0.1:1".to_string(),
+                admin: None,
+            }],
+            read_timeout: Duration::from_millis(10),
+            ..RouterConfig::default()
+        })
+        .unwrap()
+        .start()
+        .unwrap();
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(handle.addr()).unwrap();
+            write_frame(&mut conn, &Frame::empty(FrameType::Ping, 0)).unwrap();
+            match read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).unwrap() {
+                ReadOutcome::Frame(f) => assert_eq!(f.frame_type, FrameType::Pong),
+                other => panic!("expected Pong, got {other:?}"),
+            }
+        }
+        let tracked = handle.shared.conns.tracked();
+        let live = handle.shared.conns.live();
+        assert!(
+            tracked <= live + 8,
+            "{tracked} handles tracked for {live} live connections"
+        );
+        handle.shutdown();
     }
 }

@@ -23,9 +23,9 @@
 #                               # experiments_out/incr_report.json
 #   scripts/check.sh bench-smoke
 #                               # only the benchmark smoke: perfbench's
-#                               # unit tests plus a 2-second
-#                               # offline-detect run that must exit 0
-#                               # with "correct":true
+#                               # unit tests plus 2-second offline-detect
+#                               # and live-stream runs that must each
+#                               # exit 0 with "correct":true
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -238,15 +238,20 @@ incr_gate() {
 }
 
 bench_smoke() {
-    echo "==> bench smoke (perfbench unit tests + 2 s offline-detect run)"
+    echo "==> bench smoke (perfbench unit tests + 2 s offline-detect and live-stream runs)"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
     # The result is the last line of stdout; a failed output check exits
-    # non-zero, which set -e turns into a failed gate.
-    local result
-    result="$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
-        --workload offline-detect --seed 1 --seconds 2 --trace 0 | tail -n 1)"
-    printf '%s\n' "$result" | grep -q '"correct":true' \
-        || { echo "bench smoke: offline-detect result is not correct: $result"; exit 1; }
+    # non-zero, which set -e turns into a failed gate. live-stream drives
+    # the serving path: its output checks compare every served report
+    # with the offline detect_series and the post-restart replies with
+    # the pre-restart ones.
+    local workload result
+    for workload in offline-detect live-stream; do
+        result="$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+        printf '%s\n' "$result" | grep -q '"correct":true' \
+            || { echo "bench smoke: $workload result is not correct: $result"; exit 1; }
+    done
 }
 
 if [ "${1:-all}" = "bench-smoke" ]; then
