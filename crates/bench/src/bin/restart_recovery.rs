@@ -99,7 +99,7 @@ fn synth_series(n: u64, funcs: u32) -> Vec<GmonData> {
 fn registry_over(root: &Path, max_live: usize) -> Registry {
     let store =
         Store::open(root, RetentionPolicy::keep_all(), CHECKPOINT_EVERY).expect("open store");
-    Registry::new(OnlineConfig::default(), 2 * EVICT_SESSIONS, 8, true).with_store(store, max_live)
+    Registry::new(OnlineConfig::default(), 2 * EVICT_SESSIONS, 8).with_store(store, max_live)
 }
 
 /// Stream a series into a fresh session of `registry`; returns

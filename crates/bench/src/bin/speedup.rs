@@ -1,14 +1,15 @@
-//! Parallel speedup of the select-k sweep — the `incprof-par` gate.
+//! Parallel speedup of the k sweep — the `incprof-par` gate.
 //!
-//! Runs the paper's k = 1..8 k-means sweep (elbow configuration) over a
-//! synthetic interval matrix at several worker counts, verifies that the
-//! chosen k and the cluster assignments are identical at every count
-//! (the pool's determinism contract), and reports the speedup of each
-//! count over the 1-thread baseline. The measurements are recorded as
-//! `par.speedup.*` gauges and written, together with the pool's
-//! scheduling counters, to an `incprof-obs` run report
-//! (`experiments_out/speedup_report.json`, or the `INCPROF_METRICS`
-//! path).
+//! Runs the paper's k = 1..8 k-means sweep (elbow configuration) as the
+//! cold fold that `PhaseDetector::detect` runs
+//! (`SweepChains::new().evaluate`) over a synthetic interval matrix at
+//! several worker counts, verifies that the chosen k and the cluster
+//! assignments are identical at every count (the pool's determinism
+//! contract), and reports the speedup of each count over the 1-thread
+//! baseline. The measurements are recorded as `par.speedup.*` gauges and
+//! written, together with the pool's scheduling counters, to an
+//! `incprof-obs` run report (`experiments_out/speedup_report.json`, or
+//! the `INCPROF_METRICS` path).
 //!
 //! On hardware with ≥ 4 cores the 4-thread sweep must reach ≥ 2×, and
 //! the binary exits nonzero if it does not; on narrower machines (CI
@@ -19,7 +20,9 @@
 //! cargo run --release -p incprof-bench --bin speedup
 //! ```
 
-use incprof_cluster::{select_k, Dataset, KMeansConfig, KSelection, KSelectionMethod};
+use incprof_cluster::{
+    ChainConfig, Dataset, KMeansConfig, KSelection, KSelectionMethod, SweepChains,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -52,13 +55,16 @@ fn measure(data: &Dataset, workers: usize, reps: usize) -> (f64, KSelection) {
     incprof_par::set_threads(workers);
     let mut best = f64::INFINITY;
     let mut last = None;
+    let cfg = ChainConfig::new(KMeansConfig::new(0));
     for _ in 0..reps {
         let start = Instant::now();
-        let sel = black_box(select_k(
+        let sel = black_box(SweepChains::new().evaluate(
             data,
             8,
             KSelectionMethod::Elbow,
-            &KMeansConfig::new(0),
+            &cfg,
+            None,
+            false,
         ));
         best = best.min(start.elapsed().as_secs_f64());
         last = Some(sel);
@@ -70,7 +76,7 @@ fn main() {
     let data = dataset(360, 48);
     let reps = 5;
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("select-k speedup bench: n=360 d=48 k=1..8, best of {reps}, {hw} hw cores\n");
+    println!("k-sweep speedup bench: n=360 d=48 k=1..8 cold fold, best of {reps}, {hw} hw cores\n");
 
     let (t1, base) = measure(&data, 1, reps);
     println!(
@@ -119,7 +125,7 @@ fn main() {
     if hw >= 4 {
         assert!(
             speedup4 >= 2.0,
-            "select-k sweep reached only {speedup4:.2}x at 4 threads (gate: >= 2x)"
+            "k sweep reached only {speedup4:.2}x at 4 threads (gate: >= 2x)"
         );
         println!("gate: {speedup4:.2}x >= 2x at 4 threads — PASS");
     } else {

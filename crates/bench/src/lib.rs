@@ -13,7 +13,7 @@
 //! | Table VI (Gadget2) / Fig. 6 | `table6_gadget2` / `fig6_gadget2` |
 //! | everything + artifacts | `all_experiments` |
 //! | ablations (clustering / features / threshold / interval) | `ablation_*` |
-//! | parallel select-k speedup + determinism gate | `speedup` |
+//! | parallel k-sweep (cold fold) speedup + determinism gate | `speedup` |
 //!
 //! Criterion micro-benchmarks live under `benches/` and back the Table I
 //! overhead story (heartbeat cost, profiler guard cost, snapshot cost)

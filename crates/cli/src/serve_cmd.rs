@@ -19,6 +19,17 @@ pub(crate) fn take(args: &[String], i: &mut usize, what: &str) -> Result<String,
         .ok_or_else(|| CliError::Usage(format!("{what} requires a value")))
 }
 
+/// Write a resolved listen address for scripts and parent processes that
+/// poll for the file: the text goes to a temp file in the same directory,
+/// which is then renamed into place, so a reader that sees the file
+/// always sees the whole address.
+pub(crate) fn write_addr_file(path: &Path, addr: &str) -> std::io::Result<()> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.tmp-{}", std::process::id()));
+    std::fs::write(&tmp, addr)?;
+    std::fs::rename(&tmp, path)
+}
+
 pub(crate) fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, CliError>
 where
     T::Err: std::fmt::Display,
@@ -29,14 +40,10 @@ where
 
 /// `incprof serve [--addr host:port | --unix path] [--workers n]
 /// [--max-sessions n] [--max-pending n] [--addr-file path]
-/// [--no-analysis-cache] [--admin host:port | --admin-unix path]
+/// [--admin host:port | --admin-unix path]
 /// [--admin-addr-file path] [--final-scrape path]
 /// [--store-dir dir] [--retention spec] [--max-live n]
 /// [--checkpoint-every n]`.
-///
-/// `--no-analysis-cache` disables the per-session incremental analysis
-/// cache, recomputing the full phase analysis on every report query
-/// (useful to bound memory or to A/B the cache's byte-identity).
 ///
 /// `--store-dir <dir>` makes sessions durable: every accepted snapshot
 /// is appended to a per-session on-disk log, sessions found under the
@@ -86,7 +93,6 @@ pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
                     parse_num(&take(args, &mut i, "--max-pending")?, "--max-pending")?;
             }
             "--addr-file" => addr_file = Some(PathBuf::from(take(args, &mut i, "--addr-file")?)),
-            "--no-analysis-cache" => config.analysis_cache = false,
             "--admin" => config.admin = Some(BindAddr::Tcp(take(args, &mut i, "--admin")?)),
             "--admin-unix" => {
                 config.admin = Some(BindAddr::Unix(PathBuf::from(take(
@@ -148,11 +154,11 @@ pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
     if let Some(admin) = handle.admin_addr() {
         println!("incprof-serve admin on {admin}");
         if let Some(path) = &admin_addr_file {
-            std::fs::write(path, admin)?;
+            write_addr_file(path, admin)?;
         }
     }
     if let Some(path) = &addr_file {
-        std::fs::write(path, &addr)?;
+        write_addr_file(path, &addr)?;
     }
 
     handle.wait(Some(signal::interrupted()));
@@ -682,6 +688,23 @@ incprof_session_idle_seconds{session=\"7\"} 1.5
 incprof_session_snapshots{session=\"9\"} 1
 incprof_session_faulted{session=\"9\"} 1
 ";
+
+    #[test]
+    fn addr_file_is_written_whole_with_no_temp_file_left() {
+        let dir = std::env::temp_dir().join(format!("incprof_cli_addr_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("addr.txt");
+        write_addr_file(&path, "127.0.0.1:40000").unwrap();
+        // Overwriting an existing file replaces it whole as well.
+        write_addr_file(&path, "127.0.0.1:5").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "127.0.0.1:5");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["addr.txt"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn session_lines_parse_and_others_do_not() {

@@ -18,7 +18,8 @@
 //! binding anything (`scripts/check.sh` uses it to decide which
 //! backend to kill in the failover smoke).
 
-use crate::{serve_cmd::parse_num, serve_cmd::take, CliError};
+use crate::serve_cmd::{parse_num, take, write_addr_file};
+use crate::CliError;
 use incprof_serve::signal;
 use incprof_serve::BindAddr;
 use incprof_shard::{BackendSpec, Ring, Router, RouterConfig};
@@ -159,11 +160,11 @@ pub fn shard_cmd(args: &[String]) -> Result<String, CliError> {
     if let Some(admin) = handle.admin_addr() {
         println!("incprof-shard admin on {admin}");
         if let Some(path) = &admin_addr_file {
-            std::fs::write(path, admin)?;
+            write_addr_file(path, admin)?;
         }
     }
     if let Some(path) = &addr_file {
-        std::fs::write(path, &addr)?;
+        write_addr_file(path, &addr)?;
     }
 
     handle.wait(Some(signal::interrupted()));

@@ -21,20 +21,13 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     sq_euclidean(a, b).sqrt()
 }
 
-/// Manhattan (L1) distance, provided for feature-ablation experiments.
-#[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    // lint: allow(D04, per-pair accumulation over feature dimensions in index order; no parallel split crosses this sum)
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
 /// A dense `n × n` matrix of Euclidean distances between dataset rows,
 /// computed row-parallel on the [`incprof_par`] pool.
 ///
 /// Silhouette scoring (and any other all-pairs consumer) is quadratic in
 /// the interval count either way; materializing the matrix once lets the
-/// `select_k` sweep share it across every k ≥ 2 instead of recomputing
+/// k sweep ([`SweepChains::evaluate`](crate::SweepChains::evaluate))
+/// share it across every k ≥ 2 instead of recomputing
 /// the same `n²` distances per candidate k. Entry `(i, j)` is exactly
 /// `euclidean(data.row(i), data.row(j))` — same operands, same order —
 /// so downstream sums are bit-identical to the on-the-fly formulation.
@@ -161,12 +154,6 @@ mod tests {
     fn zero_distance_to_self() {
         let v = [1.5, -2.5, 3.25];
         assert_eq!(sq_euclidean(&v, &v), 0.0);
-        assert_eq!(manhattan(&v, &v), 0.0);
-    }
-
-    #[test]
-    fn manhattan_hand_case() {
-        assert_eq!(manhattan(&[1.0, 2.0], &[4.0, -2.0]), 7.0);
     }
 
     #[test]
@@ -174,7 +161,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [-1.0, 0.5, 9.0];
         assert_eq!(euclidean(&a, &b), euclidean(&b, &a));
-        assert_eq!(manhattan(&a, &b), manhattan(&b, &a));
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Incremental k-sweep: warm-started per-row k-means chains.
+//! The k-sweep: warm-started per-row k-means chains.
 //!
-//! The batch sweep in [`mod@crate::select_k`] re-runs best-of-restarts
-//! k-means from k-means++ seeds for every k, every time — even when the
-//! dataset grew by a single interval since the last analysis. Warm
-//! queries in the IncProf serve path pay that full cost on every push.
+//! This module is the one implementation of the paper's k = 1..k_max
+//! sweep (§V-A); [`SweepChains::evaluate`] runs it for both cold
+//! detection and the serve path's warm queries. Re-running
+//! best-of-restarts k-means from k-means++ seeds for every k on every
+//! query would cost the full sweep even when the dataset grew by a
+//! single interval since the last analysis.
 //!
-//! Warm-starting the *batch* definition on grown data cannot be
+//! Warm-starting such a *batch* definition on grown data cannot be
 //! byte-identical to re-running it: k-means++ consumes RNG draws against
 //! every row, so adding one row perturbs every restart. Instead this
 //! module defines the clustering as a **canonical left fold** over the
@@ -301,10 +303,25 @@ impl SweepChains {
         }
     }
 
-    /// Advance every needed chain to cover all of `data` and select k,
-    /// mirroring [`crate::select_k::select_k_pre`]'s contract (shared
-    /// pairwise matrix, spans, deterministic pool fan-out) over the fold
-    /// semantics.
+    /// Advance every needed chain to cover all of `data` and select k
+    /// among k = 1..=`k_max` (capped at the number of rows) by `method`.
+    ///
+    /// The per-k chains are independent, so the sweep fans out one
+    /// [`incprof_par`] pool task per k (self-scheduled: the expensive
+    /// large k's do not stall the cheap ones) and assembles the results
+    /// in k order, bit-identical for any worker count. The sweep records
+    /// the `cluster.select_k.sweep` span, `cluster.select_k.pairwise`
+    /// around its own matrix build, and `cluster.select_k.k<k>` per k.
+    ///
+    /// Silhouette scores read one pairwise-distance matrix, built once
+    /// per call unless `shared` supplies it. A shared matrix must cover
+    /// exactly `data`'s rows (`shared.n() == data.nrows()`, checked) with
+    /// entries equal to `euclidean(data.row(i), data.row(j))`; the sweep
+    /// then skips its O(n²·d) build and every silhouette sum is
+    /// bit-identical to the cold path, since
+    /// [`PairwiseDistances::euclidean_of`] produces exactly those
+    /// entries. This is how `incprof_core`'s analysis cache reuses
+    /// distance work across streamed queries.
     ///
     /// With `early_exit` and the [`KSelectionMethod::Silhouette`]
     /// method, the sweep stops after the mean silhouette has strictly
@@ -368,8 +385,8 @@ impl SweepChains {
             evaluated
         } else {
             // Per-k chains advance independently; fan out one pool task
-            // per k exactly like the batch sweep (bit-identical at any
-            // worker count — each task owns only its own chain).
+            // per k (bit-identical at any worker count — each task owns
+            // only its own chain).
             let slots: Vec<Mutex<Option<KChain>>> = existing
                 .by_ref()
                 .take(cap)
@@ -444,6 +461,21 @@ mod tests {
             let base = 100.0 * b as f64;
             for i in 0..per {
                 rows.push(vec![base + 0.01 * i as f64, base - 0.01 * i as f64]);
+            }
+        }
+        Dataset::from_rows(rows)
+    }
+
+    /// `c` blobs of `per` points, blob `b` active only in dimension `b` —
+    /// the shape of real interval profiles, where each phase exercises a
+    /// different set of functions.
+    fn orthogonal_blobs(c: usize, per: usize) -> Dataset {
+        let mut rows = Vec::new();
+        for b in 0..c {
+            for i in 0..per {
+                let mut row = vec![0.0; c];
+                row[b] = 100.0 + 0.01 * i as f64;
+                rows.push(row);
             }
         }
         Dataset::from_rows(rows)
@@ -662,8 +694,7 @@ mod tests {
         chains.remap_columns(&[1, 0], 3);
     }
 
-    /// A shared pairwise matrix changes no bits (same contract as the
-    /// batch sweep).
+    /// A shared pairwise matrix changes no bits.
     #[test]
     fn shared_pairwise_matrix_gives_bit_identical_fold() {
         let data = blobs(3, 5);
@@ -685,5 +716,113 @@ mod tests {
         for (x, y) in sa.sweep.silhouettes.iter().zip(&sb.sweep.silhouettes) {
             assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits));
         }
+    }
+
+    /// What a selection case asserts about the chosen sweep.
+    enum Expect {
+        /// Exactly this k.
+        K(usize),
+        /// At most this k.
+        AtMostK(usize),
+        /// Exactly these swept k's.
+        Ks(&'static [usize]),
+    }
+
+    /// The cold fold (what `PhaseDetector::detect` runs) selects the
+    /// planted k under both criteria, with and without early exit; every
+    /// case also checks that the sweep arrays are consistent with the
+    /// selection and that a shared pairwise matrix changes no bits.
+    #[test]
+    fn cold_fold_selects_planted_k() {
+        use KSelectionMethod::{Elbow, Silhouette};
+        let cases: Vec<(&str, Dataset, usize, KSelectionMethod, Expect)> = vec![
+            ("3 blobs", blobs(3, 6), 8, Elbow, Expect::K(3)),
+            ("3 blobs", blobs(3, 6), 8, Silhouette, Expect::K(3)),
+            // MiniFE in the paper discovers 5 phases; validate at that
+            // scale with profile-shaped (orthogonal) clusters.
+            (
+                "5 orthogonal blobs",
+                orthogonal_blobs(5, 8),
+                8,
+                Elbow,
+                Expect::K(5),
+            ),
+            (
+                "5 orthogonal blobs",
+                orthogonal_blobs(5, 8),
+                8,
+                Silhouette,
+                Expect::K(5),
+            ),
+            (
+                "uniform",
+                Dataset::from_rows(vec![vec![1.0, 1.0]; 10]),
+                8,
+                Elbow,
+                Expect::K(1),
+            ),
+            ("n < k_max", blobs(1, 3), 8, Elbow, Expect::Ks(&[1, 2, 3])),
+            // More blobs than k_max: the paper's k_max = 8 still bounds k.
+            ("10 blobs", blobs(10, 3), 8, Elbow, Expect::AtMostK(8)),
+            ("2 blobs, k_max 6", blobs(2, 5), 6, Elbow, Expect::K(2)),
+        ];
+        let cfg = ChainConfig::new(KMeansConfig::new(0));
+        for early_exit in [false, true] {
+            for (name, data, k_max, method, expect) in &cases {
+                let at = format!("{name}, {method:?}, early_exit={early_exit}");
+                let sel =
+                    SweepChains::new().evaluate(data, *k_max, *method, &cfg, None, early_exit);
+                match expect {
+                    Expect::K(k) => assert_eq!(sel.k, *k, "{at}"),
+                    Expect::AtMostK(k) => assert!(sel.k <= *k, "{at}: k = {}", sel.k),
+                    Expect::Ks(ks) => assert_eq!(sel.sweep.ks, *ks, "{at}"),
+                }
+                let sweep = &sel.sweep;
+                assert_eq!(sweep.ks.len(), sweep.results.len(), "{at}");
+                assert_eq!(sweep.ks.len(), sweep.wcss.len(), "{at}");
+                assert_eq!(sweep.ks.len(), sweep.silhouettes.len(), "{at}");
+                assert_eq!(sel.result.assignments.len(), data.nrows(), "{at}");
+                let idx = sweep
+                    .ks
+                    .iter()
+                    .position(|&k| k == sel.k)
+                    .expect("chosen k swept");
+                assert_eq!(sweep.results[idx], sel.result, "{at}");
+
+                let pair = PairwiseDistances::euclidean_of(data);
+                let shared = SweepChains::new().evaluate(
+                    data,
+                    *k_max,
+                    *method,
+                    &cfg,
+                    Some(&pair),
+                    early_exit,
+                );
+                assert_eq!(shared.k, sel.k, "{at}");
+                assert_eq!(shared.result, sel.result, "{at}");
+                for (a, b) in shared.sweep.wcss.iter().zip(&sweep.wcss) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                }
+                for (a, b) in shared.sweep.silhouettes.iter().zip(&sweep.silhouettes) {
+                    assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shared pairwise matrix")]
+    fn shared_matrix_of_wrong_size_is_rejected() {
+        let data = blobs(2, 4);
+        let small = Dataset::from_rows(vec![vec![0.0, 0.0], vec![1.0, 1.0]]);
+        let pair = PairwiseDistances::euclidean_of(&small);
+        SweepChains::new().evaluate(
+            &data,
+            8,
+            KSelectionMethod::Elbow,
+            &cfg(),
+            Some(&pair),
+            false,
+        );
     }
 }

@@ -418,8 +418,8 @@ fn lloyd(
         iterations = iter + 1;
         // Assignment step. Each point's outcome is independent and
         // deterministic, so once the work left after pruning justifies
-        // the fork/join it runs on the pool; inside a `select_k` sweep
-        // this call already runs on a pool worker, so the nested call
+        // the fork/join it runs on the pool; inside the k sweep's per-k
+        // tasks this call already runs on a pool worker, so the nested call
         // degrades to sequential.
         let step = AssignStep {
             data,

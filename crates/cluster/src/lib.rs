@@ -10,8 +10,10 @@
 //! * [`Dataset`] — a dense `n × d` matrix of interval feature vectors.
 //! * [`kmeans()`] — Lloyd's algorithm with k-means++ seeding, multiple
 //!   seeded restarts, and empty-cluster repair.
-//! * [`select_k()`] — the elbow (maximum distance to the WCSS chord) and
-//!   mean-silhouette criteria over a range of k.
+//! * [`SweepChains::evaluate`] — the k = 1..k_max sweep, computed as a
+//!   warm-startable per-k fold over the rows ([`incremental`]), choosing k
+//!   by the elbow (maximum distance to the WCSS chord) or mean-silhouette
+//!   criterion ([`KSelectionMethod`]).
 //! * [`silhouette`] — silhouette coefficients.
 //! * [`dbscan()`] — density-based clustering, used by the paper's (negative)
 //!   ablation and reproduced here for the same comparison.
@@ -48,9 +50,7 @@ pub use distance::PairwiseDistances;
 pub use incremental::{ChainConfig, KChain, SweepChains};
 pub use kmeans::{kmeans, kmeans_warm, KMeansConfig, KMeansResult};
 pub use scale::Scaling;
-pub use select_k::{
-    select_k, select_k_pre, sweep_k, sweep_k_pre, KSelection, KSelectionMethod, KSweep,
-};
+pub use select_k::{KSelection, KSelectionMethod, KSweep};
 pub use silhouette::{
     mean_silhouette, mean_silhouette_pre, silhouette_values, silhouette_values_pre,
 };

@@ -250,7 +250,7 @@ mod tests {
         // Touch a counter so the global registry is non-empty even when
         // this test runs alone.
         incprof_obs::counter(incprof_obs::names::SERVE_ADMIN_SCRAPES).inc();
-        let registry = Registry::new(OnlineConfig::default(), 4, 4, true);
+        let registry = Registry::new(OnlineConfig::default(), 4, 4);
         let (id, s) = registry.open().unwrap();
         {
             let mut s = crate::listen::lock(&s);

@@ -77,10 +77,8 @@ pub struct Session {
     /// A snapshot whose delta failed (regressing counters) poisons the
     /// tail of the stream; the prefix stays queryable.
     fault: Option<String>,
-    /// Incremental analysis state, reused across report queries. `None`
-    /// when the daemon runs with `--no-analysis-cache`, in which case
-    /// every query recomputes from scratch (the pre-cache behavior).
-    cache: Option<AnalysisCache>,
+    /// Incremental analysis state, reused across report queries.
+    cache: AnalysisCache,
     /// When the session last saw a frame (`None` until the first one).
     /// Stamped from caller-provided instants so this module stays free
     /// of direct clock reads.
@@ -124,9 +122,9 @@ pub struct SessionStats {
     pub pending: u64,
     /// Phases the online detector has discovered so far.
     pub phases: u64,
-    /// Analysis-cache memo hits (0 when the cache is disabled).
+    /// Analysis-cache memo hits.
     pub cache_hits: u64,
-    /// Analysis-cache memo misses (0 when the cache is disabled).
+    /// Analysis-cache memo misses.
     pub cache_misses: u64,
     /// Whether a bad delta has faulted the stream's tail.
     pub faulted: bool,
@@ -135,7 +133,7 @@ pub struct SessionStats {
 }
 
 impl Session {
-    fn new(id: u64, online: OnlineConfig, max_pending: usize, analysis_cache: bool) -> Session {
+    fn new(id: u64, online: OnlineConfig, max_pending: usize) -> Session {
         Session {
             id,
             series: SampleSeries::new(),
@@ -145,7 +143,7 @@ impl Session {
             pending: VecDeque::new(),
             max_pending,
             fault: None,
-            cache: analysis_cache.then(AnalysisCache::new),
+            cache: AnalysisCache::new(),
             last_activity: None,
             last_ack: None,
             next_index: 0,
@@ -165,12 +163,11 @@ impl Session {
         id: u64,
         online: OnlineConfig,
         max_pending: usize,
-        analysis_cache: bool,
         store: SessionStore,
         replay: LogReplay,
         checkpoint: Option<Vec<u8>>,
     ) -> Session {
-        let mut s = Session::new(id, online, max_pending, analysis_cache);
+        let mut s = Session::new(id, online, max_pending);
         for gmon in &replay.snapshots {
             let interval = match gmon.flat.delta(&s.prev_flat) {
                 Ok(interval) => interval,
@@ -199,9 +196,9 @@ impl Session {
                 // lint: allow(P01, SnapshotLog::open validated strictly increasing indices; regression here is log-layer corruption and must abort loudly)
                 .expect("snapshot log replay yields strictly increasing indices");
         }
-        if let (Some(blob), Some(slot)) = (checkpoint, s.cache.as_mut()) {
+        if let Some(blob) = checkpoint {
             match AnalysisCache::decode_state(&blob) {
-                Some(cache) if checkpoint_covers(&cache, &s.series) => *slot = cache,
+                Some(cache) if checkpoint_covers(&cache, &s.series) => s.cache = cache,
                 _ => {
                     incprof_obs::counter(incprof_obs::names::STORE_CHECKPOINTS_REJECTED).inc();
                     incprof_obs::warn!(
@@ -350,7 +347,7 @@ impl Session {
 
     /// Snapshot this session's vitals; ages are measured against `now`.
     pub fn stats(&self, now: Instant) -> SessionStats {
-        let (cache_hits, cache_misses) = self.cache.as_ref().map(|c| c.stats()).unwrap_or((0, 0));
+        let (cache_hits, cache_misses) = self.cache.stats();
         SessionStats {
             id: self.id,
             snapshots: self.series.len() as u64,
@@ -373,14 +370,10 @@ impl Session {
         let (analysis_json, source_context) = if self.series.is_empty() {
             ("null".to_string(), "[]".to_string())
         } else {
-            // The cache path returns byte-identical analyses (pinned by
+            // The cache returns byte-identical analyses (pinned by
             // tests/cache_determinism.rs) while doing O(new data) work
             // per query instead of O(n²) for the whole series.
-            let analysis = match self.cache.as_mut() {
-                Some(cache) => cache.analyze(detector, &self.series),
-                None => detector.detect_series(&self.series),
-            };
-            match analysis {
+            match self.cache.analyze(detector, &self.series) {
                 Ok(analysis) => {
                     let context =
                         source_context_json(&analysis, |f| self.table.name(f), &self.source_graph);
@@ -488,10 +481,10 @@ impl Session {
     /// Checkpoints are advisory, so a write failure only warns: the
     /// snapshot log remains the source of truth.
     pub fn force_checkpoint(&mut self) {
-        let (Some(store), Some(cache)) = (self.persist.as_mut(), self.cache.as_ref()) else {
+        let Some(store) = self.persist.as_mut() else {
             return;
         };
-        if let Err(e) = store.write_checkpoint(cache.encode_state()) {
+        if let Err(e) = store.write_checkpoint(self.cache.encode_state()) {
             incprof_obs::warn!("session {}: checkpoint write failed: {e}", self.id);
         }
     }
@@ -552,7 +545,6 @@ pub struct Registry {
     online: OnlineConfig,
     max_sessions: usize,
     max_pending: usize,
-    analysis_cache: bool,
     /// Durable session storage; `None` runs memory-only (the pre-store
     /// behavior, and still the default).
     store: Option<Store>,
@@ -571,16 +563,9 @@ struct Inner {
 }
 
 impl Registry {
-    /// New registry with the given limits. `analysis_cache` gives every
-    /// session an incremental [`AnalysisCache`] for report queries;
-    /// `false` restores recompute-per-query (the `--no-analysis-cache`
-    /// escape hatch).
-    pub fn new(
-        online: OnlineConfig,
-        max_sessions: usize,
-        max_pending: usize,
-        analysis_cache: bool,
-    ) -> Registry {
+    /// New registry with the given limits. Every session answers report
+    /// queries through its own incremental [`AnalysisCache`].
+    pub fn new(online: OnlineConfig, max_sessions: usize, max_pending: usize) -> Registry {
         Registry {
             inner: Mutex::new(Inner {
                 sessions: BTreeMap::new(),
@@ -589,7 +574,6 @@ impl Registry {
             online,
             max_sessions,
             max_pending,
-            analysis_cache,
             store: None,
             max_live: 0,
             source_graph: Arc::new(SourceGraph::default()),
@@ -649,12 +633,7 @@ impl Registry {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        let mut session = Session::new(
-            id,
-            self.online.clone(),
-            self.max_pending,
-            self.analysis_cache,
-        );
+        let mut session = Session::new(id, self.online.clone(), self.max_pending);
         session.source_graph = Arc::clone(&self.source_graph);
         if let Some(store) = &self.store {
             match store.create_session(id) {
@@ -710,12 +689,7 @@ impl Registry {
                 return Ok(s);
             }
         }
-        let mut session = Session::new(
-            id,
-            self.online.clone(),
-            self.max_pending,
-            self.analysis_cache,
-        );
+        let mut session = Session::new(id, self.online.clone(), self.max_pending);
         session.source_graph = Arc::clone(&self.source_graph);
         if let Some(store) = &self.store {
             match store.create_session(id) {
@@ -768,7 +742,6 @@ impl Registry {
             id,
             self.online.clone(),
             self.max_pending,
-            self.analysis_cache,
             persist,
             replay,
             checkpoint,
@@ -955,7 +928,7 @@ mod tests {
     }
 
     fn registry() -> Registry {
-        Registry::new(OnlineConfig::default(), 4, 2, true)
+        Registry::new(OnlineConfig::default(), 4, 2)
     }
 
     #[test]
@@ -1099,47 +1072,29 @@ mod tests {
         assert!(r.get(b).is_some());
     }
 
+    /// The session's cached reports equal a from-scratch `detect_series`
+    /// over the same series after every push, in both report modes.
     #[test]
-    fn analysis_only_report_matches_offline_detector() {
+    fn reports_match_offline_detector_after_every_push() {
         let r = registry();
         let (_, s) = r.open().unwrap();
         let mut s = lock(&s);
+        let detector = PhaseDetector::default();
         for i in 0..6u64 {
             s.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
                 .unwrap();
-            s.drain().unwrap();
-        }
-        let detector = PhaseDetector::default();
-        let offline = serde_json::to_string(&detector.detect_series(s.series()).unwrap()).unwrap();
-        assert_eq!(s.report_json(&detector, ReportMode::AnalysisOnly), offline);
-    }
-
-    #[test]
-    fn cached_and_uncached_reports_are_byte_identical() {
-        let cached = registry();
-        let uncached = Registry::new(OnlineConfig::default(), 4, 2, false);
-        let (_, a) = cached.open().unwrap();
-        let (_, b) = uncached.open().unwrap();
-        let mut a = lock(&a);
-        let mut b = lock(&b);
-        let detector = PhaseDetector::default();
-        for i in 0..6u64 {
-            a.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
-                .unwrap();
-            b.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
-                .unwrap();
-            // Query after every push, and twice at the end, so the memo
-            // path is exercised too.
-            assert_eq!(
-                a.report_json(&detector, ReportMode::AnalysisOnly),
-                b.report_json(&detector, ReportMode::AnalysisOnly),
-                "push {i}"
+            // The first query drains the push and computes; the Full
+            // query after it is answered from the cache's memo.
+            let analysis = s.report_json(&detector, ReportMode::AnalysisOnly);
+            let offline =
+                serde_json::to_string(&detector.detect_series(s.series()).unwrap()).unwrap();
+            assert_eq!(analysis, offline, "push {i}");
+            let full = s.report_json(&detector, ReportMode::Full);
+            assert!(
+                full.ends_with(&format!("\"analysis\":{offline}}}")),
+                "push {i}: {full}"
             );
         }
-        assert_eq!(
-            a.report_json(&detector, ReportMode::Full),
-            b.report_json(&detector, ReportMode::Full)
-        );
     }
 
     #[test]

@@ -297,9 +297,6 @@ sca_gate
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> cache determinism (warm analysis byte-identical to cold)"
-cargo test -q -p incprof-suite --test cache_determinism
-
 incr_gate
 
 bench_smoke
